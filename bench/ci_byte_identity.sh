@@ -1,20 +1,20 @@
 #!/usr/bin/env bash
-# Byte-identity gate over one MALLOC_REPRO_* engine knob.
+# Byte-identity gate over one MALLOC_REPRO_* knob — in practice JOBS,
+# the width of the domain pool that runs independent simulations.
 #
 #   ci_byte_identity.sh VAR "V1 V2 ..." PLAIN_REF CHECK_REF FAULTS_REF -- ARGS...
 #
 # Runs `mallocbench ARGS...` once per value V with MALLOC_REPRO_VAR=V
 # and diffs the output against PLAIN_REF: the determinism invariants
-# say the knob may change wall clock, never output. When FAULTS_REF is
-# not "-", each value is also run under `--faults oom-pressure:7` and
-# diffed against it (an injected-fault schedule is part of the
-# reproducible artifact). When CHECK_REF is not "-", the last value is
-# additionally run under `--check` and diffed against it (one checked
-# sweep is enough — the checker itself is knob-independent; the plain
-# sweep already pinned the knob).
+# say the pool width may change wall clock, never output. When
+# FAULTS_REF is not "-", each value is also run under
+# `--faults oom-pressure:7` and diffed against it (an injected-fault
+# schedule is part of the reproducible artifact). When CHECK_REF is
+# not "-", the last value is additionally run under `--check` and
+# diffed against it (one checked run is enough — the checker itself is
+# width-independent; the plain sweep already pinned the width).
 #
-# Factored out of ci.yml, where four near-identical shard/domain loops
-# used to live; the workflow calls this once per knob per reference.
+# The workflow calls this once per reference output.
 set -euo pipefail
 
 if [ $# -lt 7 ]; then

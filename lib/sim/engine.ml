@@ -1,12 +1,14 @@
 module Obs = Mb_obs.Recorder
+module Tw = Timing_wheel
 
 type pid = int
 
-(* Pending events live in per-CPU {!Shard} queues merged by a
-   deterministic (time, seq) frontier; see shard.ml. The engine stores
-   each event's payload — a bare continuation for a suspended process,
-   a thunk for [at]/[spawn] — in its own arena and files only a small
-   integer with the queue:
+(* Pending events live in one {!Timing_wheel}, ordered by (time key,
+   packed tie-break). The tie-break carries a global sequence number in
+   its high bits, so equal times fire in scheduling order. The engine
+   stores each event's payload — a bare continuation for a suspended
+   process, a thunk for [at]/[spawn] — in its own arena and files only a
+   small integer in the tie-break's low [vbits] bits:
 
        v = (arena slot lsl 1) lor tag      tag 1 = thunk, 0 = continuation
 
@@ -18,32 +20,25 @@ type pid = int
    two writers ([at]/[spawn] vs the Delay/Park handlers) each stamp
    their own kind. *)
 
+(* Low bits of the tie-break carry the payload value; the sequence
+   number gets the 63 - vbits = 42 bits above — engine lifetimes are
+   nowhere near either bound. *)
+let vbits = 21
+let v_mask = (1 lsl vbits) - 1
+
 (* 2^slot_bits bounds the number of *pending* events. slot_bits + 1
-   (the tag) must stay <= Shard.vbits. *)
+   (the tag) must stay <= vbits. *)
 let slot_bits = 20
 let max_slots = 1 lsl slot_bits
 
 type t = {
   clock : Pqueue.cell;  (* all-float cell: advancing the clock never boxes *)
   scratch : Pqueue.cell;  (* resume-time scratch for the Delay hot path *)
-  queue : Shard.t;
-  (* Shard of the event being executed: pushes without an explicit
-     [~shard] inherit it, so a process's delays stay on the CPU shard
-     that dispatched it and migrate naturally with the dispatch. *)
-  mutable cur_shard : int;
-  shard_names : string array;
-  mutable cross_wakeups : int;  (* explicit pushes onto a foreign shard *)
-  (* Head of the *drained plan* while a conservative window executes
-     (see Mb_parallel.Conservative): events the executor has pulled out
-     of the shard queues but not yet run. The delay fast path must
-     treat them as still queued — [max_int] outside a window, so the
-     serial engine pays one predictable compare. *)
-  mutable plan_min_key : int;
-  mutable plan_min_pk : int;
-  (* Domain count a conservative run will use; > 1 makes park/unpark
-     trace instants carry the owning domain alongside the shard. *)
-  mutable domains : int;
-  mutable domain_names : string array;  (* per *shard*: name of its domain *)
+  wheel : Tw.t;
+  (* Key of the queue head, [max_int] when empty: the delay fast path
+     compares against it with no emptiness branch. *)
+  mutable head_key : int;
+  mutable next_seq : int;  (* also the number of pushes so far *)
   (* Event payload arena + free-list stack (same discipline the old
      Pqueue arena used: popped slots are not cleared — the write costs
      more than the bounded retention it avoids — and are reused by the
@@ -129,17 +124,12 @@ type _ Effect.t += Tick : unit Effect.t
    be called exactly once, from an event context (a queued thunk). *)
 type _ Effect.t += Suspend : unit Effect.t
 
-let create ?(obs = Obs.null) ?(shards = 1) () =
+let create ?(obs = Obs.null) () =
   { clock = Pqueue.make_cell ();
     scratch = Pqueue.make_cell ();
-    queue = Shard.create ~shards;
-    cur_shard = 0;
-    shard_names = Array.init shards string_of_int;
-    cross_wakeups = 0;
-    plan_min_key = max_int;
-    plan_min_pk = max_int;
-    domains = 1;
-    domain_names = [||];
+    wheel = Tw.create ();
+    head_key = max_int;
+    next_seq = 0;
     slots = [||];
     free = [||];
     free_top = 0;
@@ -157,30 +147,6 @@ let create ?(obs = Obs.null) ?(shards = 1) () =
 let observer t = t.obs
 
 let now t = t.clock.Pqueue.cell_time
-
-let shards t = Shard.shards t.queue
-
-let name_shard t i name = t.shard_names.(i) <- name
-
-(* Record the domain count of the conservative run that will drive this
-   engine: shard [i] belongs to domain [i mod domains], and park/unpark
-   trace instants gain a "domain" argument so trace lanes carry domain
-   ids. Purely observational — the schedule never depends on it. *)
-let set_domains t domains =
-  if domains < 1 then invalid_arg "Engine.set_domains: domains < 1";
-  t.domains <- domains;
-  t.domain_names <-
-    (if domains > 1 then
-       Array.init (Array.length t.shard_names) (fun i -> string_of_int (i mod domains))
-     else [||])
-
-let domains t = t.domains
-
-let shard_args t =
-  if t.domains > 1 then
-    [ ("shard", t.shard_names.(t.cur_shard));
-      ("domain", t.domain_names.(t.cur_shard)) ]
-  else [ ("shard", t.shard_names.(t.cur_shard)) ]
 
 let name_of t pid =
   let n = t.names.(pid) in
@@ -213,26 +179,71 @@ let alloc_slot t payload =
   Array.unsafe_set t.slots slot payload;
   slot
 
+(* --- event queue ------------------------------------------------------ *)
+
+(* One push per simulated event: the wheel's record is exposed so the
+   ring fast-path test and all bookkeeping are direct field accesses,
+   with a single call into {!Timing_wheel} to do the actual insert.
+   Head maintenance is analytic — the sequence counter makes the fresh
+   tie-break strictly greater than every one already queued, so the new
+   item is the head iff [key < head_key]; no peek needed. *)
+let push_key t key v =
+  let w = t.wheel in
+  let pk = (t.next_seq lsl vbits) lor v in
+  t.next_seq <- t.next_seq + 1;
+  w.Tw.size <- w.Tw.size + 1;
+  if key < w.Tw.gate
+     || (w.Tw.rsize = w.Tw.size - 1 && w.Tw.rsize < Tw.ring_target) then begin
+    w.Tw.ring_hits <- w.Tw.ring_hits + 1;
+    Tw.ring_insert w key pk
+  end
+  else begin
+    Tw.push_overflow w key pk;
+    if w.Tw.rsize = 0 then Tw.advance w
+  end;
+  if key < t.head_key then t.head_key <- key
+
+(* The key conversion is spelled out here rather than calling
+   {!Timing_wheel.key_of_time}: a float crossing a non-inlined call
+   boundary is boxed, and this is one push per simulated event (same
+   reasoning as Pqueue.push_cell). *)
+let push_cell t (cell : Pqueue.cell) v =
+  push_key t (Int64.to_int (Int64.bits_of_float cell.Pqueue.cell_time) lxor min_int) v
+
+(* Remove the head: write its time into the clock (an unboxed store —
+   a float returned from a non-inlined helper would be boxed first) and
+   return its payload value. The head of a non-empty wheel always sits
+   in the ring ([advance] restores that whenever the ring drains), so
+   retiring it and reading the next head are plain field/array
+   accesses. Precondition: not empty. *)
+let pop t =
+  t.clock.Pqueue.cell_time <-
+    Int64.float_of_bits (Int64.logand (Int64.of_int (t.head_key lxor min_int)) 0x7FFF_FFFF_FFFF_FFFFL);
+  let w = t.wheel in
+  let h = w.Tw.rhead in
+  let v = Array.unsafe_get w.Tw.rpks h land v_mask in
+  let rsize = w.Tw.rsize - 1 in
+  w.Tw.rhead <- (h + 1) land (Array.length w.Tw.rkeys - 1);
+  w.Tw.rsize <- rsize;
+  w.Tw.size <- w.Tw.size - 1;
+  if rsize = 0 && w.Tw.size > 0 then Tw.advance w;
+  t.head_key <- (if w.Tw.rsize = 0 then max_int else Array.unsafe_get w.Tw.rkeys w.Tw.rhead);
+  v
+
 (* --- scheduling entry points ------------------------------------------ *)
 
-let push_thunk t sh time thunk =
+let at t time thunk =
   if time < t.clock.Pqueue.cell_time then invalid_arg "Engine.at: time in the past";
-  if sh <> t.cur_shard then t.cross_wakeups <- t.cross_wakeups + 1;
   let slot = alloc_slot t (Obj.repr (thunk : unit -> unit)) in
-  Shard.push_at t.queue ~shard:sh ~time ~v:((slot lsl 1) lor 1)
-
-let at t ?shard time thunk =
-  let sh = match shard with Some s -> s | None -> t.cur_shard in
-  push_thunk t sh time thunk
+  push_key t (Int64.to_int (Int64.bits_of_float time) lxor min_int) ((slot lsl 1) lor 1)
 
 (* Cancellation is lazy: the event stays queued and checks its armed
    flag when it fires, so cancelling is O(1) and the queue never
    learns about removal. The closure pair costs two small allocations —
    cancellable timers are cold compared to delays. *)
-let at_cancel t ?shard time thunk =
+let at_cancel t time thunk =
   let armed = ref true in
-  let sh = match shard with Some s -> s | None -> t.cur_shard in
-  push_thunk t sh time (fun () -> if !armed then thunk ());
+  at t time (fun () -> if !armed then thunk ());
   fun () -> armed := false
 
 let delay d = Effect.perform (Delay d)
@@ -252,14 +263,14 @@ let delay_cell t = t.scratch
    far the most expensive parts of a simulated delay.
 
    The comparison runs on integer time keys: the key image of floats
-   is strictly monotone (see Pqueue), [Shard.min_key] is already a
-   key, and [max_int] — the empty sentinel — is above every real key,
+   is strictly monotone (see Pqueue), [head_key] is already a key,
+   and [max_int] — the empty sentinel — is above every real key,
    so one branchless int compare covers the empty-queue case too. *)
 let delay_pending t =
   let clock = t.clock.Pqueue.cell_time in
   let nt = clock +. t.scratch.Pqueue.cell_time in
   let key = Int64.to_int (Int64.bits_of_float nt) lxor min_int in
-  if key < Shard.min_key t.queue && key < t.plan_min_key then begin
+  if key < t.head_key then begin
     if nt < clock then invalid_arg "Engine.delay: negative delay";
     t.clock.Pqueue.cell_time <- nt
   end
@@ -279,7 +290,7 @@ let suspend t register =
 let after_pending t thunk =
   t.scratch.Pqueue.cell_time <- t.clock.Pqueue.cell_time +. t.scratch.Pqueue.cell_time;
   let slot = alloc_slot t (Obj.repr (thunk : unit -> unit)) in
-  Shard.push t.queue ~shard:t.cur_shard t.scratch ~v:((slot lsl 1) lor 1)
+  push_cell t t.scratch ((slot lsl 1) lor 1)
 
 let yield () = delay 0.
 
@@ -332,7 +343,7 @@ let start t pid body =
           discontinue k (Invalid_argument "Engine.delay: negative delay")
         else begin
           let slot = alloc_slot t (Obj.repr k) in
-          Shard.push t.queue ~shard:t.cur_shard t.scratch ~v:(slot lsl 1)
+          push_cell t t.scratch (slot lsl 1)
         end)
   in
   let on_park : ((unit, unit) continuation -> unit) option =
@@ -342,23 +353,17 @@ let start t pid body =
         t.pending_register <- no_register;
         set_parked t pid;
         if Obs.tracing t.obs then
-          Obs.instant t.obs ~lane:pid ~name:"park" ~ts_ns:t.clock.Pqueue.cell_time
-            ~args:(shard_args t) ();
+          Obs.instant t.obs ~lane:pid ~name:"park" ~ts_ns:t.clock.Pqueue.cell_time ();
         let resumed = ref false in
         let resume () =
           if !resumed then
             invalid_arg (Printf.sprintf "Engine: process %s resumed twice" (name_of t pid));
           resumed := true;
           clear_parked t pid;
-          (* The continuation re-queues on the *waker's* shard: a
-             cross-CPU wakeup thus lands in the mailbox of the CPU
-             that issued it, and the frontier replays the global
-             order. *)
           if Obs.tracing t.obs then
-            Obs.instant t.obs ~lane:pid ~name:"unpark" ~ts_ns:t.clock.Pqueue.cell_time
-              ~args:(shard_args t) ();
+            Obs.instant t.obs ~lane:pid ~name:"unpark" ~ts_ns:t.clock.Pqueue.cell_time ();
           let slot = alloc_slot t (Obj.repr k) in
-          Shard.push t.queue ~shard:t.cur_shard t.clock ~v:(slot lsl 1)
+          push_cell t t.clock (slot lsl 1)
         in
         register resume)
   in
@@ -402,7 +407,7 @@ let start t pid body =
       effc
     }
 
-let spawn t ?name ?shard body =
+let spawn t ?name body =
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
   let cap = Array.length t.parked in
@@ -427,8 +432,7 @@ let spawn t ?name ?shard body =
     Obs.set_lane t.obs pid (name_of t pid);
     Obs.instant t.obs ~lane:pid ~name:"spawn" ~ts_ns:t.clock.Pqueue.cell_time ()
   end;
-  let sh = match shard with Some s -> s | None -> t.cur_shard in
-  push_thunk t sh t.clock.Pqueue.cell_time (fun () -> start t pid body);
+  at t t.clock.Pqueue.cell_time (fun () -> start t pid body);
   pid
 
 (* Build the structured stall report: every parked process with its
@@ -494,66 +498,29 @@ let[@inline] exec_event t v =
     Effect.Deep.continue (Obj.obj payload : (unit, unit) Effect.Deep.continuation) ()
   else (Obj.obj payload : unit -> unit) ()
 
-(* Pop and run the frontier event. Pop writes the event time straight
-   into the clock cell. *)
-let step_queue t =
-  let v = Shard.pop t.queue t.clock in
-  t.cur_shard <- Shard.popped_shard t.queue;
-  exec_event t v
-
 let run t =
   let rec loop () =
-    if Shard.is_empty t.queue then begin
+    if t.wheel.Tw.size = 0 then begin
       if t.parked_count > 0 then raise (Stalled (stall_report t))
     end
     else begin
-      step_queue t;
+      exec_event t (pop t);
       loop ()
     end
   in
   loop ()
-
-(* --- conservative-window entry points (Mb_parallel.Conservative) ----- *)
-
-let queue t = t.queue
-
-let check_stall t = if t.parked_count > 0 then raise (Stalled (stall_report t))
-
-let set_plan_min t ~key ~pk =
-  t.plan_min_key <- key;
-  t.plan_min_pk <- pk
-
-let plan_min_key t = t.plan_min_key
-
-(* Run an event the conservative executor drained out of the shard
-   queues: restore the clock from its key, restore the shard it was
-   filed on (pushes without an explicit shard inherit it, exactly as a
-   popped event's would), and decode the payload value from the low
-   bits of the packed tie-break. *)
-let execute_planned t ~key ~pk ~shard =
-  t.clock.Pqueue.cell_time <- Timing_wheel.time_of_key key;
-  t.cur_shard <- shard;
-  exec_event t (pk land ((1 lsl Shard.vbits) - 1))
 
 let live t = t.live
 
 (* Snapshot scheduler counters into the recorder — called by the layer
    that owns the run (Machine.flush_observations), mirroring its
    discipline: everything here is maintained by the simulation anyway,
-   so metering adds no hot-path cost. *)
+   so metering adds no hot-path cost. The names predate the single
+   queue and are kept so existing consumers keep reading them. *)
 let flush_observations t =
   if Obs.metering t.obs then begin
-    let n = Shard.shards t.queue in
-    Obs.set t.obs "sched.shards" n;
-    let total = ref 0 in
-    for i = 0 to n - 1 do
-      let p = Shard.shard_pushes t.queue i in
-      total := !total + p;
-      Obs.set t.obs (Printf.sprintf "sched.shard.%s.pushes" t.shard_names.(i)) p
-    done;
-    Obs.set t.obs "sched.shard.pushes" !total;
-    Obs.set t.obs "sched.shard.ring_hits" (Shard.ring_hits t.queue);
-    Obs.set t.obs "sched.shard.wheel_hits" (Shard.wheel_hits t.queue);
-    Obs.set t.obs "sched.shard.heap_spills" (Shard.heap_spills t.queue);
-    Obs.set t.obs "sched.shard.cross_wakeups" t.cross_wakeups
+    Obs.set t.obs "sched.shard.pushes" t.next_seq;
+    Obs.set t.obs "sched.shard.ring_hits" (Tw.ring_hits t.wheel);
+    Obs.set t.obs "sched.shard.wheel_hits" (Tw.wheel_hits t.wheel);
+    Obs.set t.obs "sched.shard.heap_spills" (Tw.heap_spills t.wheel)
   end

@@ -57,7 +57,7 @@ let bin_bounds t i =
 let percentile t p =
   if t.total = 0 then invalid_arg "Histogram.percentile: empty histogram";
   if p < 0. || p > 100. then invalid_arg "Histogram.percentile: p outside [0, 100]";
-  (* Conservative rank: the upper of the two samples a linear
+  (* Round the rank up: take the upper of the two samples a linear
      interpolation would blend, so a tail percentile never under-reads. *)
   let rank = int_of_float (Float.ceil (p /. 100. *. float_of_int (t.total - 1))) in
   if rank < t.underflow then

@@ -46,10 +46,7 @@ let host_cpu_model () =
 let current_host () =
   { cores = Domain.recommended_domain_count ();
     cpu_model = host_cpu_model ();
-    domains =
-      (match Sys.getenv_opt "MALLOC_REPRO_DOMAINS" with
-      | Some v -> ( match int_of_string_opt v with Some d when d > 0 -> d | _ -> 1)
-      | None -> 1);
+    domains = 1;
   }
 
 let host_to_string h =

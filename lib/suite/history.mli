@@ -20,8 +20,9 @@ type host = { cores : int; cpu_model : string; domains : int }
 
 val current_host : unit -> host
 (** Cores from [Domain.recommended_domain_count], the cpu model from
-    [/proc/cpuinfo] (["unknown"] where that fails), domains from
-    [MALLOC_REPRO_DOMAINS] (default 1). *)
+    [/proc/cpuinfo] (["unknown"] where that fails), domains 1 (each
+    simulation runs on one domain; the field stays in the schema so
+    older history files still load). *)
 
 val host_to_string : host -> string
 (** One-line canonical rendering for reports and warnings. *)

@@ -61,6 +61,22 @@ let test_collect_sorts_and_skips_disarmed () =
   let labels = List.map fst (Core.Fault.Collect.drain ()) in
   Alcotest.(check (list string)) "drain sorted by label" [ "a-run"; "b-run" ] labels
 
+(* Runs sharing a label arrive in pool completion order; the drain must
+   not depend on it. *)
+let test_collect_order_ignores_arrival () =
+  let drain_after order =
+    ignore (Core.Fault.Collect.drain ());
+    let mk degraded =
+      let i = Fault.create ~plan:Plan.Slow_lock ~seed:1 in
+      for _ = 1 to degraded do Fault.note_degraded i done;
+      i
+    in
+    List.iter (fun d -> Core.Fault.Collect.publish ~label:"same" (mk d)) order;
+    List.map (fun (_, i) -> Fault.degraded i) (Core.Fault.Collect.drain ())
+  in
+  Alcotest.(check (list int)) "ties broken by counts" [ 1; 2; 3 ] (drain_after [ 3; 1; 2 ]);
+  Alcotest.(check (list int)) "any arrival order" [ 1; 2; 3 ] (drain_after [ 2; 3; 1 ])
+
 (* --- qcheck: same plan+seed => identical injected-event sequence -------- *)
 
 (* A query script drives the injector's three decision hooks; replaying
@@ -215,6 +231,7 @@ let suite =
     Alcotest.test_case "plan: labels round-trip" `Quick test_plan_all_labels_round_trip;
     Alcotest.test_case "injector: null is inert" `Quick test_null_injector_is_inert;
     Alcotest.test_case "collect: sorts, skips disarmed" `Quick test_collect_sorts_and_skips_disarmed;
+    Alcotest.test_case "collect: order ignores arrival" `Quick test_collect_order_ignores_arrival;
     QCheck_alcotest.to_alcotest prop_same_seed_same_schedule;
     Alcotest.test_case "retry: bounded with backoff when armed" `Quick test_retry_bounds_when_armed;
     Alcotest.test_case "retry: absent when disarmed" `Quick test_no_retry_when_disarmed;

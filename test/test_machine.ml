@@ -363,6 +363,24 @@ let prop_deterministic_replay =
       in
       run () = run ())
 
+(* The machine takes its whole configuration from its arguments: the
+   environment variables that once tuned the event queue and a parallel
+   executor are not read, so even malformed values cannot break it. *)
+let test_create_ignores_retired_env () =
+  let names = List.map (( ^ ) "MALLOC_REPRO_") [ "SHARDS"; "DOMAINS"; "WINDOW_BATCH" ] in
+  let prev = List.map (fun n -> (n, Sys.getenv_opt n)) names in
+  List.iter (fun n -> Unix.putenv n "x") names;
+  Fun.protect
+    ~finally:(fun () ->
+      (* no unsetenv in Unix: an empty value stands for "unset" *)
+      List.iter (fun (n, v) -> Unix.putenv n (Option.value v ~default:"")) prev)
+    (fun () ->
+      let m = M.create two_cpu in
+      let p = M.create_proc m () in
+      let th = M.spawn p (fun ctx -> M.work ctx 1000) in
+      M.run m;
+      Alcotest.(check bool) "ran to completion" true (M.elapsed_ns th > 0.))
+
 let suite =
   [ Alcotest.test_case "single thread work time" `Quick test_single_thread_work_time;
     QCheck_alcotest.to_alcotest prop_conservation;
@@ -387,4 +405,5 @@ let suite =
     Alcotest.test_case "touch_range counts" `Quick test_touch_range_counts;
     Alcotest.test_case "elapsed requires finish" `Quick test_elapsed_requires_finish;
     Alcotest.test_case "exit hooks" `Quick test_exit_hook_runs;
+    Alcotest.test_case "create ignores retired env knobs" `Quick test_create_ignores_retired_env;
   ]

@@ -7,7 +7,6 @@ let () =
       ("timing_wheel", Test_timing_wheel.suite);
       ("int_table", Test_int_table.suite);
       ("parallel", Test_parallel.suite);
-      ("conservative", Test_conservative.suite);
       ("vm", Test_vm.suite);
       ("cache", Test_cache.suite);
       ("machine", Test_machine.suite);

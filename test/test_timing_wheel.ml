@@ -1,13 +1,12 @@
-(* Property tests for the hierarchical timing wheel and the sharded
-   merge frontier: pop order must be exactly (time, seq) — identical to
-   a sorted-list reference — under random push/pop interleavings that
-   cross bucket boundaries, cascade L2 epochs, and spill to the
-   far-future heap; the shard frontier must produce the same global
-   order for any shard count; and engine-level cancellation must skip
-   exactly the cancelled events without disturbing the rest. *)
+(* Property tests for the hierarchical timing wheel and the engine
+   queue built on it: pop order must be exactly (time, seq) — identical
+   to a sorted-list reference — under random push/pop interleavings
+   that cross bucket boundaries, cascade L2 epochs, and spill to the
+   far-future heap; the engine must execute events in (time, issue
+   order) however they were issued; and engine-level cancellation must
+   skip exactly the cancelled events without disturbing the rest. *)
 
 module Tw = Mb_sim.Timing_wheel
-module Shard = Mb_sim.Shard
 module Pqueue = Mb_sim.Pqueue
 module Engine = Mb_sim.Engine
 
@@ -106,74 +105,104 @@ let test_wheel_counters () =
   let rec drain n = if Tw.is_empty w then n else (Tw.pop w; drain (n + 1)) in
   Alcotest.(check int) "drains fully" (n + 1) (drain 0)
 
-(* --- shard frontier vs global sorted model ---------------------------- *)
+(* --- engine execution order vs a list-based reference ------------------ *)
 
-(* Ops: Some (shard_pick, time) -> push on shard_pick mod shards;
-   None -> pop. The model is one global (time, seq) sorted list — the
-   shard assignment must never matter. *)
-let shard_ops_gen =
-  QCheck.(
-    pair (int_range 1 8)
-      (list_of_size Gen.(int_range 0 500) (option (pair (int_bound 31) time_arb))))
+(* A random program: [At (d, kids)] is a thunk scheduled [d] ns after
+   its issuer's time, which issues [kids] when it fires; [Spawn ds] is
+   a process that starts now and then delays by each of [ds] in turn.
+   Small integer delays make equal times common. *)
+type node = At of int * node list | Spawn of int list
 
-let prop_shard_frontier_vs_model =
-  QCheck.Test.make ~name:"shard frontier pops the global (time, seq) order" ~count:300
-    shard_ops_gen
-    (fun (shards, ops) ->
-      let q = Shard.create ~shards in
-      let cell = Pqueue.make_cell () in
-      let model = ref [] in
-      let seq = ref 0 in
-      List.for_all
-        (fun op ->
-          match op with
-          | Some (pick, time) ->
-              let v = !seq land ((1 lsl Shard.vbits) - 1) in
-              let s = !seq in
-              incr seq;
-              Shard.push_at q ~shard:(pick mod shards) ~time ~v;
-              let rec insert = function
-                | [] -> [ (time, s, v) ]
-                | ((t, s', _) as hd) :: tl ->
-                    if time < t || (time = t && s < s') then (time, s, v) :: hd :: tl
-                    else hd :: insert tl
-              in
-              model := insert !model;
-              Shard.length q = List.length !model
-          | None -> (
-              match !model with
-              | [] -> Shard.is_empty q && Shard.min_key q = max_int
-              | (t, _, v) :: tl ->
-                  let got = Shard.pop q cell in
-                  model := tl;
-                  got = v && cell.Pqueue.cell_time = t))
-        ops)
+let node_gen =
+  QCheck.Gen.(
+    sized_size (int_bound 3) @@ fix (fun self depth ->
+        let spawn = map (fun ds -> Spawn ds) (list_size (int_bound 4) (int_bound 4)) in
+        if depth = 0 then spawn
+        else
+          frequency
+            [ (1, spawn);
+              (2, map2 (fun d kids -> At (d, kids)) (int_bound 4)
+                    (list_size (int_bound 3) (self (depth - 1)))) ]))
 
-(* The same pushes distributed over 1, 2 and 8 shards pop identically. *)
-let prop_shard_count_invariance =
-  QCheck.Test.make ~name:"pop order invariant under shard count" ~count:200
-    QCheck.(list_of_size Gen.(int_range 0 300) (pair (int_bound 31) time_arb))
-    (fun pushes ->
-      let drain_with shards =
-        let q = Shard.create ~shards in
-        let cell = Pqueue.make_cell () in
-        List.iteri
-          (fun i (pick, time) ->
-            Shard.push_at q ~shard:(pick mod shards) ~time ~v:(i land 0xFFFF))
-          pushes;
-        let rec go acc =
-          if Shard.is_empty q then List.rev acc
-          else begin
-            let v = Shard.pop q cell in
-            go ((cell.Pqueue.cell_time, v) :: acc)
-          end
-        in
-        go []
-      in
-      let one = drain_with 1 in
-      drain_with 2 = one && drain_with 8 = one)
+let rec print_node = function
+  | At (d, kids) -> Printf.sprintf "At(%d,[%s])" d (String.concat ";" (List.map print_node kids))
+  | Spawn ds -> Printf.sprintf "Spawn[%s]" (String.concat ";" (List.map string_of_int ds))
 
-(* --- engine-level: cancellation and shard routing ---------------------- *)
+let program_arb =
+  QCheck.make
+    ~print:(fun roots -> String.concat " " (List.map print_node roots))
+    QCheck.Gen.(list_size (int_range 1 8) node_gen)
+
+(* Every issuing call (an [at], a [spawn], a delay) takes the next issue
+   number, and every executed event logs the number it was issued
+   under — so the log pins the execution order, and a wrong pick shows
+   as a divergent log. Delays alternate between [Engine.delay] and the
+   [delay_pending] fast path. *)
+let engine_log roots =
+  let e = Engine.create () in
+  let log = ref [] and issued = ref 0 in
+  let issue () = let n = !issued in incr issued; n in
+  let rec schedule = function
+    | At (d, kids) ->
+        let id = issue () in
+        Engine.at e (Engine.now e +. float_of_int d) (fun () ->
+            log := id :: !log;
+            List.iter schedule kids)
+    | Spawn ds ->
+        let id = issue () in
+        ignore
+          (Engine.spawn e (fun () ->
+               log := id :: !log;
+               List.iteri
+                 (fun i d ->
+                   let id = issue () in
+                   if i mod 2 = 0 then Engine.delay (float_of_int d)
+                   else begin
+                     (Engine.delay_cell e).Pqueue.cell_time <- float_of_int d;
+                     Engine.delay_pending e
+                   end;
+                   log := id :: !log)
+                 ds))
+  in
+  List.iter schedule roots;
+  Engine.run e;
+  List.rev !log
+
+(* The reference: a pending list stably sorted by time, so equal times
+   keep issue order, and always run its head. *)
+let model_log roots =
+  let pending = ref [] and now = ref 0 in
+  let log = ref [] and issued = ref 0 in
+  let add time act =
+    let id = !issued in
+    incr issued;
+    pending := List.stable_sort (fun (t1, _, _) (t2, _, _) -> compare t1 t2)
+        (!pending @ [ (time, id, act) ])
+  in
+  let proc = function [] -> () | d :: rest -> add (!now + d) (`Proc rest) in
+  let schedule = function
+    | At (d, kids) -> add (!now + d) (`Fire kids)
+    | Spawn ds -> add !now (`Proc ds)
+  in
+  List.iter schedule roots;
+  let rec go () =
+    match !pending with
+    | [] -> ()
+    | (time, id, act) :: rest ->
+        pending := rest;
+        now := time;
+        log := id :: !log;
+        (match act with `Fire kids -> List.iter schedule kids | `Proc ds -> proc ds);
+        go ()
+  in
+  go ();
+  List.rev !log
+
+let prop_engine_order_vs_model =
+  QCheck.Test.make ~name:"engine runs (time, issue) order" ~count:300 program_arb
+    (fun roots -> engine_log roots = model_log roots)
+
+(* --- engine-level: cancellation ----------------------------------------- *)
 
 let test_at_cancel () =
   let e = Engine.create () in
@@ -197,14 +226,14 @@ let prop_engine_cancel_fuzz =
   QCheck.Test.make ~name:"random cancellations leave survivors' schedule intact" ~count:200
     QCheck.(list_of_size Gen.(int_range 0 60) (pair bool (map float_of_int (int_bound 20))))
     (fun events ->
-      let e = Engine.create ~shards:3 () in
+      let e = Engine.create () in
       let log = ref [] in
       let cancels = ref [] in
       List.iteri
         (fun i (cancelled, time) ->
           if cancelled then
-            cancels := Engine.at_cancel e ~shard:(i mod 3) time (fun () -> log := i :: !log) :: !cancels
-          else Engine.at e ~shard:(i mod 3) time (fun () -> log := i :: !log))
+            cancels := Engine.at_cancel e time (fun () -> log := i :: !log) :: !cancels
+          else Engine.at e time (fun () -> log := i :: !log))
         events;
       List.iter (fun cancel -> cancel ()) !cancels;
       Engine.run e;
@@ -216,37 +245,11 @@ let prop_engine_cancel_fuzz =
       in
       List.rev !log = expected)
 
-(* One multi-process program, three engines with different shard counts
-   and assignments: the logs must match event for event. *)
-let test_engine_shard_determinism () =
-  let run shards =
-    let e = Engine.create ~shards () in
-    let log = ref [] in
-    let say who = log := Printf.sprintf "%s@%.0f" who (Engine.now e) :: !log in
-    for i = 0 to 5 do
-      ignore
-        (Engine.spawn e ~shard:(i mod shards) ~name:(Printf.sprintf "p%d" i) (fun () ->
-             let name = Printf.sprintf "p%d" i in
-             say (name ^ ".start");
-             Engine.delay (float_of_int ((i * 7) mod 11));
-             say (name ^ ".mid");
-             Engine.delay (float_of_int ((13 - i) mod 9));
-             say (name ^ ".end")))
-    done;
-    Engine.run e;
-    List.rev !log
-  in
-  let one = run 1 in
-  Alcotest.(check (list string)) "2 shards = 1 shard" one (run 2);
-  Alcotest.(check (list string)) "8 shards = 1 shard" one (run 8)
-
 let suite =
   [ QCheck_alcotest.to_alcotest prop_wheel_fuzz_vs_model;
     QCheck_alcotest.to_alcotest prop_wheel_drain_sorted;
     Alcotest.test_case "push counters cover all destinations" `Quick test_wheel_counters;
-    QCheck_alcotest.to_alcotest prop_shard_frontier_vs_model;
-    QCheck_alcotest.to_alcotest prop_shard_count_invariance;
+    QCheck_alcotest.to_alcotest prop_engine_order_vs_model;
     Alcotest.test_case "at_cancel skips exactly the cancelled" `Quick test_at_cancel;
     QCheck_alcotest.to_alcotest prop_engine_cancel_fuzz;
-    Alcotest.test_case "engine schedule invariant under shards" `Quick test_engine_shard_determinism;
   ]
