@@ -78,7 +78,24 @@ module Kernels = struct
                };
          })
 
-  (* One kernel per paper artifact. *)
+  (* The event queue under a deep pending set: 4,096 fibers, fiber i
+     sleeping 8 times for 1 + (i * 7919 mod 997) ns, keep about 4k
+     events queued — far past the ring's target, so pushes and pops pay
+     for the heap overflow. No registered workload runs this deep; the
+     kernel prices the fallback rather than assuming it is cheap. *)
+  let queue_deep () =
+    let e = Core.Engine.create () in
+    for i = 0 to 4095 do
+      let d = float_of_int (1 + (i * 7919 mod 997)) in
+      ignore
+        (Core.Engine.spawn e (fun () ->
+             for _ = 1 to 8 do
+               Core.Engine.delay d
+             done))
+    done;
+    Core.Engine.run e
+
+  (* One kernel per paper artifact, plus the deep-queue stress. *)
   let all =
     let ppro = Core.Configs.dual_pentium_pro in
     let xeon = Core.Configs.quad_xeon in
@@ -105,6 +122,7 @@ module Kernels = struct
       ("bench3-aligned", bench3 ~threads:4 ~aligned:true);
       ("server-open-pool", server_open ~model:(Core.Server.Thread_pool { queue_capacity = 256 }));
       ("server-open-tpc", server_open ~model:Core.Server.Thread_per_connection);
+      ("queue-deep", queue_deep);
     ]
 end
 

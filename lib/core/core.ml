@@ -18,7 +18,6 @@ module Paper_data = Paper_data
 
 (* The simulated platform. *)
 module Engine = Mb_sim.Engine
-module Pqueue = Mb_sim.Pqueue
 module Int_table = Mb_sim.Int_table
 module Machine = Mb_machine.Machine
 module Configs = Mb_machine.Configs

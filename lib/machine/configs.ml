@@ -90,7 +90,7 @@ let uni_k6 =
        (pre-futex) parked contended lockers via signals — slow wakeups that
        keep a contended mutex effectively owned across the switch, i.e.
        handoff semantics. This is what lets benchmark 2's arena collisions
-       cascade for a while once one occurs, producing Figure 6's leak
+       snowball for a while once one occurs, producing Figure 6's leak
        variance. *)
     spin_cycles = 300;
     mutex_handoff = true;

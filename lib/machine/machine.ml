@@ -55,7 +55,7 @@ type machine_hot = { mutable busy : float }
 type t = {
   config : config;
   engine : Engine.t;
-  dcell : Mb_sim.Pqueue.cell;
+  dcell : Engine.cell;
       (* engine's delay hand-off cell, cached so the hot path is
          [m.dcell.cell_time <- ns; Engine.delay_pending m.engine] — an
          unboxed store plus an allocation-free constant effect *)
@@ -385,7 +385,7 @@ let rec consume th cycles =
     let m = th.tproc.pm in
     let q = th.hot.quantum_left in
     if cycles <= q then begin
-      m.dcell.Mb_sim.Pqueue.cell_time <- cycles *. m.cycle_ns;
+      m.dcell.cell_time <- cycles *. m.cycle_ns;
       Engine.delay_pending m.engine;
       th.hot.cpu_cycles <- th.hot.cpu_cycles +. cycles;
       m.mh.busy <- m.mh.busy +. cycles;
@@ -397,7 +397,7 @@ let rec consume th cycles =
       end
     end
     else begin
-      m.dcell.Mb_sim.Pqueue.cell_time <- q *. m.cycle_ns;
+      m.dcell.cell_time <- q *. m.cycle_ns;
       Engine.delay_pending m.engine;
       th.hot.cpu_cycles <- th.hot.cpu_cycles +. q;
       m.mh.busy <- m.mh.busy +. q;
@@ -450,7 +450,7 @@ let work_exact_cycles th cycles =
     let q = th.hot.quantum_left in
     if fc <= q then begin
       let m = th.tproc.pm in
-      m.dcell.Mb_sim.Pqueue.cell_time <- fc *. m.cycle_ns;
+      m.dcell.cell_time <- fc *. m.cycle_ns;
       Engine.delay_pending m.engine;
       th.hot.cpu_cycles <- th.hot.cpu_cycles +. fc;
       m.mh.busy <- m.mh.busy +. fc;

@@ -1,9 +1,9 @@
 module Obs = Mb_obs.Recorder
-module Tw = Timing_wheel
+module Eq = Event_queue
 
 type pid = int
 
-(* Pending events live in one {!Timing_wheel}, ordered by (time key,
+(* Pending events live in one {!Event_queue}, ordered by (time key,
    packed tie-break). The tie-break carries a global sequence number in
    its high bits, so equal times fire in scheduling order. The engine
    stores each event's payload — a bare continuation for a suspended
@@ -31,18 +31,22 @@ let v_mask = (1 lsl vbits) - 1
 let slot_bits = 20
 let max_slots = 1 lsl slot_bits
 
+(* A single-float record: all-float records store their fields
+   unboxed, so writing one allocates nothing — a [float] argument or
+   return crossing a non-inlined call would be boxed. *)
+type cell = { mutable cell_time : float }
+
 type t = {
-  clock : Pqueue.cell;  (* all-float cell: advancing the clock never boxes *)
-  scratch : Pqueue.cell;  (* resume-time scratch for the Delay hot path *)
-  wheel : Tw.t;
+  clock : cell;  (* all-float cell: advancing the clock never boxes *)
+  scratch : cell;  (* resume-time scratch for the Delay hot path *)
+  queue : Eq.t;
   (* Key of the queue head, [max_int] when empty: the delay fast path
      compares against it with no emptiness branch. *)
   mutable head_key : int;
   mutable next_seq : int;  (* also the number of pushes so far *)
-  (* Event payload arena + free-list stack (same discipline the old
-     Pqueue arena used: popped slots are not cleared — the write costs
-     more than the bounded retention it avoids — and are reused by the
-     next push). *)
+  (* Event payload arena + free-list stack: popped slots are not
+     cleared — the write costs more than the bounded retention it
+     avoids — and are reused by the next push. *)
   mutable slots : Obj.t array;
   mutable free : int array;
   mutable free_top : int;
@@ -125,9 +129,9 @@ type _ Effect.t += Tick : unit Effect.t
 type _ Effect.t += Suspend : unit Effect.t
 
 let create ?(obs = Obs.null) () =
-  { clock = Pqueue.make_cell ();
-    scratch = Pqueue.make_cell ();
-    wheel = Tw.create ();
+  { clock = { cell_time = 0. };
+    scratch = { cell_time = 0. };
+    queue = Eq.create ();
     head_key = max_int;
     next_seq = 0;
     slots = [||];
@@ -146,7 +150,7 @@ let create ?(obs = Obs.null) () =
 
 let observer t = t.obs
 
-let now t = t.clock.Pqueue.cell_time
+let now t = t.clock.cell_time
 
 let name_of t pid =
   let n = t.names.(pid) in
@@ -181,59 +185,52 @@ let alloc_slot t payload =
 
 (* --- event queue ------------------------------------------------------ *)
 
-(* One push per simulated event: the wheel's record is exposed so the
+(* One push per simulated event: the queue's record is exposed so the
    ring fast-path test and all bookkeeping are direct field accesses,
-   with a single call into {!Timing_wheel} to do the actual insert.
+   with a single call into {!Event_queue} to do the actual insert.
    Head maintenance is analytic — the sequence counter makes the fresh
    tie-break strictly greater than every one already queued, so the new
    item is the head iff [key < head_key]; no peek needed. *)
 let push_key t key v =
-  let w = t.wheel in
+  let q = t.queue in
   let pk = (t.next_seq lsl vbits) lor v in
   t.next_seq <- t.next_seq + 1;
-  w.Tw.size <- w.Tw.size + 1;
-  if key < w.Tw.gate
-     || (w.Tw.rsize = w.Tw.size - 1 && w.Tw.rsize < Tw.ring_target) then begin
-    w.Tw.ring_hits <- w.Tw.ring_hits + 1;
-    Tw.ring_insert w key pk
+  if key < q.Eq.gate || (q.Eq.hsize = 0 && q.Eq.rsize < Eq.ring_target) then begin
+    q.Eq.ring_hits <- q.Eq.ring_hits + 1;
+    Eq.ring_insert q key pk
   end
-  else begin
-    Tw.push_overflow w key pk;
-    if w.Tw.rsize = 0 then Tw.advance w
-  end;
+  else Eq.push_overflow q key pk;
   if key < t.head_key then t.head_key <- key
 
 (* The key conversion is spelled out here rather than calling
-   {!Timing_wheel.key_of_time}: a float crossing a non-inlined call
-   boundary is boxed, and this is one push per simulated event (same
-   reasoning as Pqueue.push_cell). *)
-let push_cell t (cell : Pqueue.cell) v =
-  push_key t (Int64.to_int (Int64.bits_of_float cell.Pqueue.cell_time) lxor min_int) v
+   {!Event_queue.key_of_time}: a float crossing a non-inlined call
+   boundary is boxed, and this is one push per simulated event. *)
+let push_cell t cell v =
+  push_key t (Int64.to_int (Int64.bits_of_float cell.cell_time) lxor min_int) v
 
 (* Remove the head: write its time into the clock (an unboxed store —
    a float returned from a non-inlined helper would be boxed first) and
-   return its payload value. The head of a non-empty wheel always sits
-   in the ring ([advance] restores that whenever the ring drains), so
+   return its payload value. The head of a non-empty queue always sits
+   in the ring ([refill] restores that whenever the ring drains), so
    retiring it and reading the next head are plain field/array
    accesses. Precondition: not empty. *)
 let pop t =
-  t.clock.Pqueue.cell_time <-
+  t.clock.cell_time <-
     Int64.float_of_bits (Int64.logand (Int64.of_int (t.head_key lxor min_int)) 0x7FFF_FFFF_FFFF_FFFFL);
-  let w = t.wheel in
-  let h = w.Tw.rhead in
-  let v = Array.unsafe_get w.Tw.rpks h land v_mask in
-  let rsize = w.Tw.rsize - 1 in
-  w.Tw.rhead <- (h + 1) land (Array.length w.Tw.rkeys - 1);
-  w.Tw.rsize <- rsize;
-  w.Tw.size <- w.Tw.size - 1;
-  if rsize = 0 && w.Tw.size > 0 then Tw.advance w;
-  t.head_key <- (if w.Tw.rsize = 0 then max_int else Array.unsafe_get w.Tw.rkeys w.Tw.rhead);
+  let q = t.queue in
+  let h = q.Eq.rhead in
+  let v = Array.unsafe_get q.Eq.rpks h land v_mask in
+  let rsize = q.Eq.rsize - 1 in
+  q.Eq.rhead <- (h + 1) land (Array.length q.Eq.rkeys - 1);
+  q.Eq.rsize <- rsize;
+  if rsize = 0 && q.Eq.hsize > 0 then Eq.refill q;
+  t.head_key <- (if q.Eq.rsize = 0 then max_int else Array.unsafe_get q.Eq.rkeys q.Eq.rhead);
   v
 
 (* --- scheduling entry points ------------------------------------------ *)
 
 let at t time thunk =
-  if time < t.clock.Pqueue.cell_time then invalid_arg "Engine.at: time in the past";
+  if not (time >= t.clock.cell_time) then invalid_arg "Engine.at: time in the past or NaN";
   let slot = alloc_slot t (Obj.repr (thunk : unit -> unit)) in
   push_key t (Int64.to_int (Int64.bits_of_float time) lxor min_int) ((slot lsl 1) lor 1)
 
@@ -263,16 +260,17 @@ let delay_cell t = t.scratch
    far the most expensive parts of a simulated delay.
 
    The comparison runs on integer time keys: the key image of floats
-   is strictly monotone (see Pqueue), [head_key] is already a key,
-   and [max_int] — the empty sentinel — is above every real key,
-   so one branchless int compare covers the empty-queue case too. *)
+   is strictly monotone (see {!Event_queue.key_of_time}), [head_key]
+   is already a key, and [max_int] — the empty sentinel — is above
+   every real key, so one branchless int compare covers the empty-queue
+   case too. *)
 let delay_pending t =
-  let clock = t.clock.Pqueue.cell_time in
-  let nt = clock +. t.scratch.Pqueue.cell_time in
+  let clock = t.clock.cell_time in
+  let nt = clock +. t.scratch.cell_time in
   let key = Int64.to_int (Int64.bits_of_float nt) lxor min_int in
   if key < t.head_key then begin
-    if nt < clock then invalid_arg "Engine.delay: negative delay";
-    t.clock.Pqueue.cell_time <- nt
+    if not (nt >= clock) then invalid_arg "Engine.delay: negative delay or NaN";
+    t.clock.cell_time <- nt
   end
   else Effect.perform Tick
 
@@ -288,7 +286,7 @@ let suspend t register =
    [suspend]); the duration must be non-negative — pollers step time
    forward by construction, so no past check on this path. *)
 let after_pending t thunk =
-  t.scratch.Pqueue.cell_time <- t.clock.Pqueue.cell_time +. t.scratch.Pqueue.cell_time;
+  t.scratch.cell_time <- t.clock.cell_time +. t.scratch.cell_time;
   let slot = alloc_slot t (Obj.repr (thunk : unit -> unit)) in
   push_cell t t.scratch ((slot lsl 1) lor 1)
 
@@ -333,14 +331,14 @@ let start t pid body =
     t.live <- t.live - 1;
     clear_parked t pid;
     if Obs.tracing t.obs then
-      Obs.instant t.obs ~lane:pid ~name:"exit" ~ts_ns:t.clock.Pqueue.cell_time ()
+      Obs.instant t.obs ~lane:pid ~name:"exit" ~ts_ns:t.clock.cell_time ()
   in
   let on_delay : ((unit, unit) continuation -> unit) option =
     Some
       (fun k ->
         (* scratch already holds clock + d (written by effc below). *)
-        if t.scratch.Pqueue.cell_time < t.clock.Pqueue.cell_time then
-          discontinue k (Invalid_argument "Engine.delay: negative delay")
+        if not (t.scratch.cell_time >= t.clock.cell_time) then
+          discontinue k (Invalid_argument "Engine.delay: negative delay or NaN")
         else begin
           let slot = alloc_slot t (Obj.repr k) in
           push_cell t t.scratch (slot lsl 1)
@@ -353,7 +351,7 @@ let start t pid body =
         t.pending_register <- no_register;
         set_parked t pid;
         if Obs.tracing t.obs then
-          Obs.instant t.obs ~lane:pid ~name:"park" ~ts_ns:t.clock.Pqueue.cell_time ();
+          Obs.instant t.obs ~lane:pid ~name:"park" ~ts_ns:t.clock.cell_time ();
         let resumed = ref false in
         let resume () =
           if !resumed then
@@ -361,7 +359,7 @@ let start t pid body =
           resumed := true;
           clear_parked t pid;
           if Obs.tracing t.obs then
-            Obs.instant t.obs ~lane:pid ~name:"unpark" ~ts_ns:t.clock.Pqueue.cell_time ();
+            Obs.instant t.obs ~lane:pid ~name:"unpark" ~ts_ns:t.clock.cell_time ();
           let slot = alloc_slot t (Obj.repr k) in
           push_cell t t.clock (slot lsl 1)
         in
@@ -382,10 +380,10 @@ let start t pid body =
      match eff with
      | Tick ->
          (* scratch holds the duration, written by the performer. *)
-         t.scratch.Pqueue.cell_time <- t.clock.Pqueue.cell_time +. t.scratch.Pqueue.cell_time;
+         t.scratch.cell_time <- t.clock.cell_time +. t.scratch.cell_time;
          on_delay
      | Delay d ->
-         t.scratch.Pqueue.cell_time <- t.clock.Pqueue.cell_time +. d;
+         t.scratch.cell_time <- t.clock.cell_time +. d;
          on_delay
      | Park register ->
          t.pending_register <- register;
@@ -430,9 +428,9 @@ let spawn t ?name body =
   t.live <- t.live + 1;
   if Obs.tracing t.obs then begin
     Obs.set_lane t.obs pid (name_of t pid);
-    Obs.instant t.obs ~lane:pid ~name:"spawn" ~ts_ns:t.clock.Pqueue.cell_time ()
+    Obs.instant t.obs ~lane:pid ~name:"spawn" ~ts_ns:t.clock.cell_time ()
   end;
-  at t t.clock.Pqueue.cell_time (fun () -> start t pid body);
+  at t t.clock.cell_time (fun () -> start t pid body);
   pid
 
 (* Build the structured stall report: every parked process with its
@@ -500,7 +498,7 @@ let[@inline] exec_event t v =
 
 let run t =
   let rec loop () =
-    if t.wheel.Tw.size = 0 then begin
+    if t.queue.Eq.rsize = 0 then begin
       if t.parked_count > 0 then raise (Stalled (stall_report t))
     end
     else begin
@@ -520,7 +518,8 @@ let live t = t.live
 let flush_observations t =
   if Obs.metering t.obs then begin
     Obs.set t.obs "sched.shard.pushes" t.next_seq;
-    Obs.set t.obs "sched.shard.ring_hits" (Tw.ring_hits t.wheel);
-    Obs.set t.obs "sched.shard.wheel_hits" (Tw.wheel_hits t.wheel);
-    Obs.set t.obs "sched.shard.heap_spills" (Tw.heap_spills t.wheel)
+    Obs.set t.obs "sched.shard.ring_hits" (Eq.ring_hits t.queue);
+    (* No wheel levels remain; perfbench still reads this counter. *)
+    Obs.set t.obs "sched.shard.wheel_hits" 0;
+    Obs.set t.obs "sched.shard.heap_spills" (Eq.heap_spills t.queue)
   end

@@ -69,7 +69,8 @@ val spawn : t -> ?name:string -> (unit -> unit) -> pid
 
 val at : t -> float -> (unit -> unit) -> unit
 (** [at t time thunk] schedules a bare callback (not a process: it must not
-    perform {!delay} or {!park}) at absolute [time]. *)
+    perform {!delay} or {!park}) at absolute [time].
+    @raise Invalid_argument if [time] is before {!now} or NaN. *)
 
 val at_cancel : t -> float -> (unit -> unit) -> (unit -> unit)
 (** Like {!at}, but returns a cancel function. Cancellation is lazy:
@@ -86,9 +87,17 @@ val live : t -> int
 
 val delay : float -> unit
 (** Advance this process's simulated time. Only valid inside a process
-    spawned on some engine; raises [Effect.Unhandled] elsewhere. *)
+    spawned on some engine; raises [Effect.Unhandled] elsewhere. A
+    negative or NaN duration raises [Invalid_argument] in the
+    process. *)
 
-val delay_cell : t -> Pqueue.cell
+type cell = { mutable cell_time : float }
+(** A single-float record: all-float records store their fields unboxed,
+    so writing one allocates nothing — which is why the delay fast path
+    takes its duration through a cell instead of a [float] argument (a
+    [float] crossing a non-inlined call is boxed). *)
+
+val delay_cell : t -> cell
 (** The engine's delay hand-off cell, for the {!delay_pending} fast
     path. Fetch it once per engine and cache it. *)
 
@@ -143,7 +152,8 @@ val yield : unit -> unit
 
 val flush_observations : t -> unit
 (** Snapshot the event-queue counters into the recorder:
-    [sched.shard.pushes] (events filed), [sched.shard.ring_hits],
-    [sched.shard.wheel_hits] and [sched.shard.heap_spills] (where each
-    push landed in the {!Timing_wheel}). No-op unless metering is on;
+    [sched.shard.pushes] (events filed), [sched.shard.ring_hits] and
+    [sched.shard.heap_spills] (where each push landed in the
+    {!Event_queue}), and [sched.shard.wheel_hits], always 0 since the
+    queue has no wheel levels. No-op unless metering is on;
     call once at end of run (the machine layer does). *)

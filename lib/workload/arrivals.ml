@@ -5,15 +5,17 @@ type process =
   | Bursty of { base_rps : float; burst_rps : float; on_s : float; off_s : float }
   | Diurnal of { low_rps : float; high_rps : float; period_s : float }
 
+(* Written as [not (x > 0.)] so a NaN, which compares false against
+   everything, is rejected too. *)
 let validate = function
   | Poisson { rate_rps } ->
-      if rate_rps <= 0. then invalid_arg "Arrivals: Poisson rate must be positive"
+      if not (rate_rps > 0.) then invalid_arg "Arrivals: Poisson rate must be positive"
   | Bursty { base_rps; burst_rps; on_s; off_s } ->
-      if base_rps <= 0. || burst_rps <= 0. then invalid_arg "Arrivals: Bursty rates must be positive";
-      if on_s <= 0. || off_s <= 0. then invalid_arg "Arrivals: Bursty phases must be positive"
+      if not (base_rps > 0. && burst_rps > 0.) then invalid_arg "Arrivals: Bursty rates must be positive";
+      if not (on_s > 0. && off_s > 0.) then invalid_arg "Arrivals: Bursty phases must be positive"
   | Diurnal { low_rps; high_rps; period_s } ->
-      if low_rps <= 0. || high_rps <= 0. then invalid_arg "Arrivals: Diurnal rates must be positive";
-      if period_s <= 0. then invalid_arg "Arrivals: Diurnal period must be positive"
+      if not (low_rps > 0. && high_rps > 0.) then invalid_arg "Arrivals: Diurnal rates must be positive";
+      if not (period_s > 0.) then invalid_arg "Arrivals: Diurnal period must be positive"
 
 type t = { rng : Rng.t; process : process; mutable clock_ns : float }
 
@@ -57,7 +59,7 @@ let mean_rps = function
   | Diurnal { low_rps; high_rps; _ } -> (low_rps +. high_rps) /. 2.
 
 let scale p f =
-  if f <= 0. then invalid_arg "Arrivals.scale: factor must be positive";
+  if not (f > 0.) then invalid_arg "Arrivals.scale: factor must be positive";
   match p with
   | Poisson { rate_rps } -> Poisson { rate_rps = rate_rps *. f }
   | Bursty b -> Bursty { b with base_rps = b.base_rps *. f; burst_rps = b.burst_rps *. f }

@@ -1,18 +1,18 @@
-(* Property tests for the hierarchical timing wheel and the engine
-   queue built on it: pop order must be exactly (time, seq) — identical
-   to a sorted-list reference — under random push/pop interleavings
-   that cross bucket boundaries, cascade L2 epochs, and spill to the
-   far-future heap; the engine must execute events in (time, issue
-   order) however they were issued; and engine-level cancellation must
-   skip exactly the cancelled events without disturbing the rest. *)
+(* Property tests for the event queue (a sorted ring with a heap
+   overflow) and the engine built on it: pop order must be exactly
+   (time, seq) — identical to a sorted-list reference — under random
+   push/pop interleavings that overflow the ring, refill it from the
+   heap, and tie on equal times; the engine must execute events in
+   (time, issue order) however they were issued; and engine-level
+   cancellation must skip exactly the cancelled events without
+   disturbing the rest. *)
 
-module Tw = Mb_sim.Timing_wheel
-module Pqueue = Mb_sim.Pqueue
+module Eq = Mb_sim.Event_queue
 module Engine = Mb_sim.Engine
 
-(* Times that stress every layer: heavy ties, exact L1 (2^10 ns) and
-   L2 (2^18 ns) bucket edges and their neighbours, multi-epoch wraps,
-   far-heap spills, and the 2^52 precision cliff. *)
+(* Times that stress ordering: heavy ties, clustered times on 2^10 and
+   2^18 ns grids and their neighbours, spreads wide enough to overflow
+   the ring, and far times up to and past 2^52 ns. *)
 let time_gen =
   QCheck.Gen.(
     oneof
@@ -30,24 +30,24 @@ let time_gen =
 
 let time_arb = QCheck.make ~print:string_of_float time_gen
 
-(* --- timing wheel vs sorted (key, pk) list --------------------------- *)
+(* --- event queue vs sorted (key, pk) list ----------------------------- *)
 
-let wheel_ops_gen =
+let queue_ops_gen =
   (* true -> push at the given time; false -> pop (time ignored) *)
   QCheck.(list_of_size Gen.(int_range 0 500) (pair bool time_arb))
 
-let prop_wheel_fuzz_vs_model =
-  QCheck.Test.make ~name:"wheel push/pop fuzz matches sorted model" ~count:300 wheel_ops_gen
+let prop_queue_fuzz_vs_model =
+  QCheck.Test.make ~name:"queue push/pop fuzz matches sorted model" ~count:300 queue_ops_gen
     (fun ops ->
-      let w = Tw.create () in
+      let w = Eq.create () in
       let model = ref [] in
       let seq = ref 0 in
       List.for_all
         (fun (is_push, time) ->
           if is_push then begin
-            let key = Tw.key_of_time time and pk = !seq in
+            let key = Eq.key_of_time time and pk = !seq in
             incr seq;
-            Tw.push w key pk;
+            Eq.push w key pk;
             let rec insert = function
               | [] -> [ (key, pk) ]
               | ((k, p) as hd) :: tl ->
@@ -55,55 +55,94 @@ let prop_wheel_fuzz_vs_model =
                   else hd :: insert tl
             in
             model := insert !model;
-            Tw.length w = List.length !model
+            Eq.length w = List.length !model
           end
           else
             match !model with
-            | [] -> Tw.is_empty w && Tw.peek_key w = max_int && Tw.peek_pk w = max_int
+            | [] -> Eq.is_empty w && Eq.peek_key w = max_int && Eq.peek_pk w = max_int
             | (k, p) :: tl ->
-                let ok = Tw.peek_key w = k && Tw.peek_pk w = p in
-                Tw.pop w;
+                let ok = Eq.peek_key w = k && Eq.peek_pk w = p in
+                Eq.pop w;
                 model := tl;
                 ok)
         ops)
 
-let prop_wheel_drain_sorted =
-  QCheck.Test.make ~name:"wheel full drain is (time, seq) sorted" ~count:300
+let prop_queue_drain_sorted =
+  QCheck.Test.make ~name:"queue full drain is (time, seq) sorted" ~count:300
     QCheck.(list_of_size Gen.(int_range 0 400) time_arb)
     (fun times ->
-      let w = Tw.create () in
-      List.iteri (fun i time -> Tw.push w (Tw.key_of_time time) i) times;
+      let w = Eq.create () in
+      List.iteri (fun i time -> Eq.push w (Eq.key_of_time time) i) times;
       let expected =
         List.stable_sort (fun (t1, _) (t2, _) -> compare t1 t2)
           (List.mapi (fun i time -> (time, i)) times)
       in
       let rec drain acc =
-        if Tw.is_empty w then List.rev acc
+        if Eq.is_empty w then List.rev acc
         else begin
-          let k = Tw.peek_key w and p = Tw.peek_pk w in
-          Tw.pop w;
-          drain ((Tw.time_of_key k, p) :: acc)
+          let k = Eq.peek_key w and p = Eq.peek_pk w in
+          Eq.pop w;
+          drain ((Eq.time_of_key k, p) :: acc)
         end
       in
       drain [] = expected)
 
-(* Counters split pushes into exactly three destinations: ascending
-   appends fill the ring to its target size, then overflow into the
-   wheels; a far-future time spills to the heap. *)
-let test_wheel_counters () =
-  let w = Tw.create () in
-  let n = Tw.ring_target + 16 in
+(* Counters split pushes into exactly two destinations: ascending
+   appends fill the ring to its target size, then spill to the heap,
+   and so does a push at +infinity. *)
+let test_queue_counters () =
+  let w = Eq.create () in
+  let n = Eq.ring_target + 16 in
   for i = 0 to n - 1 do
-    Tw.push w (Tw.key_of_time (float_of_int (i * 1024))) i
+    Eq.push w (Eq.key_of_time (float_of_int (i * 1024))) i
   done;
-  Tw.push w (Tw.key_of_time (4503599627370496. +. 1e10)) n;
-  Alcotest.(check int) "all pushes counted" (n + 1)
-    (Tw.ring_hits w + Tw.wheel_hits w + Tw.heap_spills w);
-  Alcotest.(check int) "ring absorbed up to its target" Tw.ring_target (Tw.ring_hits w);
-  Alcotest.(check bool) "overflow went to the wheels" true (Tw.wheel_hits w >= 1);
-  Alcotest.(check bool) "far time spilled to heap" true (Tw.heap_spills w >= 1);
-  let rec drain n = if Tw.is_empty w then n else (Tw.pop w; drain (n + 1)) in
+  Eq.push w (Eq.key_of_time Float.infinity) n;
+  Alcotest.(check int) "ring absorbed up to its target" Eq.ring_target (Eq.ring_hits w);
+  Alcotest.(check int) "every push counted" (n + 1) (Eq.ring_hits w + Eq.heap_spills w);
+  let rec drain n = if Eq.is_empty w then n else (Eq.pop w; drain (n + 1)) in
   Alcotest.(check int) "drains fully" (n + 1) (drain 0)
+
+(* Pushes below the ring's tail must go into the ring even while the
+   heap holds items, so the ring grows past its target. A group of
+   equal times larger than the target must survive the refill that
+   straddles it: a later push at that time still sorts after the whole
+   group. The pop sequence must match a stable sort of every push. *)
+let test_below_tail_grows_ring () =
+  let w = Eq.create () in
+  let seq = ref 0 and pushed = ref [] and popped = ref [] in
+  let push time =
+    Eq.push w (Eq.key_of_time time) !seq;
+    pushed := (time, !seq) :: !pushed;
+    incr seq
+  in
+  let pop () =
+    popped := (Eq.time_of_key (Eq.peek_key w), Eq.peek_pk w) :: !popped;
+    Eq.pop w
+  in
+  let far = float_of_int (10 * Eq.ring_target) +. 1000. in
+  for i = 0 to Eq.ring_target - 1 do
+    push (float_of_int (10 * i))
+  done;
+  for _ = 0 to Eq.ring_target + 7 do
+    push far
+  done;
+  push (far +. 10.);
+  for i = 0 to 15 do
+    push (float_of_int ((10 * i) + 5))
+  done;
+  Alcotest.(check bool) "heap holds the overflow" true (w.Eq.hsize > 0);
+  Alcotest.(check bool) "ring grew past its target" true (w.Eq.rsize > Eq.ring_target);
+  for _ = 1 to w.Eq.rsize do
+    pop ()
+  done;
+  push far;
+  push (far +. 5.);
+  while not (Eq.is_empty w) do
+    pop ()
+  done;
+  let expected = List.stable_sort (fun (t1, _) (t2, _) -> compare t1 t2) (List.rev !pushed) in
+  Alcotest.(check (list (pair (float 0.) int))) "pops are (time, seq) sorted" expected
+    (List.rev !popped)
 
 (* --- engine execution order vs a list-based reference ------------------ *)
 
@@ -158,7 +197,7 @@ let engine_log roots =
                    let id = issue () in
                    if i mod 2 = 0 then Engine.delay (float_of_int d)
                    else begin
-                     (Engine.delay_cell e).Pqueue.cell_time <- float_of_int d;
+                     (Engine.delay_cell e).Engine.cell_time <- float_of_int d;
                      Engine.delay_pending e
                    end;
                    log := id :: !log)
@@ -246,9 +285,10 @@ let prop_engine_cancel_fuzz =
       List.rev !log = expected)
 
 let suite =
-  [ QCheck_alcotest.to_alcotest prop_wheel_fuzz_vs_model;
-    QCheck_alcotest.to_alcotest prop_wheel_drain_sorted;
-    Alcotest.test_case "push counters cover all destinations" `Quick test_wheel_counters;
+  [ QCheck_alcotest.to_alcotest prop_queue_fuzz_vs_model;
+    QCheck_alcotest.to_alcotest prop_queue_drain_sorted;
+    Alcotest.test_case "push counters cover all destinations" `Quick test_queue_counters;
+    Alcotest.test_case "below-tail pushes grow the ring" `Quick test_below_tail_grows_ring;
     QCheck_alcotest.to_alcotest prop_engine_order_vs_model;
     Alcotest.test_case "at_cancel skips exactly the cancelled" `Quick test_at_cancel;
     QCheck_alcotest.to_alcotest prop_engine_cancel_fuzz;

@@ -3,8 +3,7 @@ let () =
     [ ("prng", Test_prng.suite);
       ("stats", Test_stats.suite);
       ("sim", Test_sim.suite);
-      ("pqueue", Test_pqueue.suite);
-      ("timing_wheel", Test_timing_wheel.suite);
+      ("event_queue", Test_event_queue.suite);
       ("int_table", Test_int_table.suite);
       ("parallel", Test_parallel.suite);
       ("vm", Test_vm.suite);

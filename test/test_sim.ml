@@ -1,40 +1,6 @@
-(* Tests for the event queue and the effects-based engine. *)
+(* Tests for the effects-based engine. *)
 
 module Engine = Core.Engine
-module Pqueue = Mb_sim.Pqueue
-
-let test_pqueue_orders_by_time () =
-  let q = Pqueue.create () in
-  List.iter (fun t -> Pqueue.push q ~time:t t) [ 5.; 1.; 3.; 2.; 4. ];
-  let popped = List.init 5 (fun _ -> match Pqueue.pop q with Some (_, v) -> v | None -> -1.) in
-  Alcotest.(check (list (float 0.))) "sorted" [ 1.; 2.; 3.; 4.; 5. ] popped
-
-let test_pqueue_fifo_at_equal_times () =
-  let q = Pqueue.create () in
-  List.iter (fun v -> Pqueue.push q ~time:1. v) [ "a"; "b"; "c" ];
-  let popped = List.init 3 (fun _ -> match Pqueue.pop q with Some (_, v) -> v | None -> "?") in
-  Alcotest.(check (list string)) "insertion order" [ "a"; "b"; "c" ] popped
-
-let test_pqueue_peek_and_length () =
-  let q = Pqueue.create () in
-  Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
-  Pqueue.push q ~time:2. ();
-  Pqueue.push q ~time:1. ();
-  Alcotest.(check int) "length" 2 (Pqueue.length q);
-  Alcotest.(check (option (float 0.))) "peek" (Some 1.) (Pqueue.peek_time q)
-
-let prop_pqueue_sorted =
-  QCheck.Test.make ~name:"pqueue pops in nondecreasing time order" ~count:200
-    QCheck.(list_of_size Gen.(int_range 0 200) (float_bound_exclusive 1000.))
-    (fun times ->
-      let q = Pqueue.create () in
-      List.iter (fun t -> Pqueue.push q ~time:t t) times;
-      let rec drain last =
-        match Pqueue.pop q with
-        | None -> true
-        | Some (t, _) -> t >= last && drain t
-      in
-      drain neg_infinity)
 
 let test_delay_accumulates () =
   let e = Engine.create () in
@@ -120,7 +86,7 @@ let test_at_callback () =
 let test_at_past_raises () =
   let e = Engine.create () in
   Engine.at e 5. (fun () ->
-      Alcotest.check_raises "past" (Invalid_argument "Engine.at: time in the past") (fun () ->
+      Alcotest.check_raises "past" (Invalid_argument "Engine.at: time in the past or NaN") (fun () ->
           Engine.at e 1. ignore));
   Engine.run e
 
@@ -128,9 +94,26 @@ let test_negative_delay_raises () =
   let e = Engine.create () in
   ignore
     (Engine.spawn e (fun () ->
-         Alcotest.check_raises "negative" (Invalid_argument "Engine.delay: negative delay")
+         Alcotest.check_raises "negative" (Invalid_argument "Engine.delay: negative delay or NaN")
            (fun () -> Engine.delay (-1.))));
   Engine.run e
+
+(* A NaN time compares false against everything, so it slips past a
+   [time < now] check; once queued it would pop last and leave the clock
+   NaN for the rest of the run. Every entry point must refuse it. *)
+let test_nan_time_raises () =
+  let e = Engine.create () in
+  Alcotest.check_raises "at" (Invalid_argument "Engine.at: time in the past or NaN") (fun () ->
+      Engine.at e Float.nan ignore);
+  let nan_delay = Invalid_argument "Engine.delay: negative delay or NaN" in
+  ignore
+    (Engine.spawn e (fun () ->
+         Alcotest.check_raises "delay" nan_delay (fun () -> Engine.delay Float.nan);
+         Alcotest.check_raises "delay_pending" nan_delay (fun () ->
+             (Engine.delay_cell e).Engine.cell_time <- Float.nan;
+             Engine.delay_pending e)));
+  Engine.run e;
+  Alcotest.(check (float 0.)) "clock untouched" 0. (Engine.now e)
 
 let test_yield_lets_peers_run () =
   let e = Engine.create () in
@@ -146,11 +129,7 @@ let test_exception_propagates () =
   Alcotest.check_raises "propagates" (Failure "boom") (fun () -> Engine.run e)
 
 let suite =
-  [ Alcotest.test_case "pqueue time order" `Quick test_pqueue_orders_by_time;
-    Alcotest.test_case "pqueue FIFO ties" `Quick test_pqueue_fifo_at_equal_times;
-    Alcotest.test_case "pqueue peek/length" `Quick test_pqueue_peek_and_length;
-    QCheck_alcotest.to_alcotest prop_pqueue_sorted;
-    Alcotest.test_case "delay accumulates" `Quick test_delay_accumulates;
+  [ Alcotest.test_case "delay accumulates" `Quick test_delay_accumulates;
     Alcotest.test_case "interleaving order" `Quick test_interleaving_order;
     Alcotest.test_case "park/resume" `Quick test_park_resume;
     Alcotest.test_case "double resume raises" `Quick test_double_resume_raises;
@@ -159,6 +138,7 @@ let suite =
     Alcotest.test_case "bare callback" `Quick test_at_callback;
     Alcotest.test_case "at in the past raises" `Quick test_at_past_raises;
     Alcotest.test_case "negative delay raises" `Quick test_negative_delay_raises;
+    Alcotest.test_case "NaN times raise" `Quick test_nan_time_raises;
     Alcotest.test_case "yield interleaves" `Quick test_yield_lets_peers_run;
     Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
   ]

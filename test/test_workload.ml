@@ -242,9 +242,12 @@ let test_arrivals_parse_roundtrip () =
     (Core.Arrivals.mean_rps
        (Core.Arrivals.scale (Core.Arrivals.Poisson { rate_rps = 100. }) 2.5)
     = 250.);
-  (match Core.Arrivals.of_string "nonesuch:1" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "bad spec accepted")
+  List.iter
+    (fun s ->
+      match Core.Arrivals.of_string s with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail ("bad spec accepted: " ^ s))
+    [ "nonesuch:1"; "poisson:nan"; "bursty:nan:1:1:1"; "diurnal:1:2:nan" ]
 
 (* --- server -------------------------------------------------------------- *)
 
