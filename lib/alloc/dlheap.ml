@@ -29,23 +29,61 @@ let min_chunk_bytes = 16
 
 let align = 8
 
-(* A chunk is bookkeeping for [size] bytes at [addr]; user data starts at
-   [addr + header_bytes]. [prev_size] is the boundary tag: the size of the
-   chunk immediately below in the segment (0 at the segment base). Free
-   chunks are linked into their bin through [fd]/[bk]. *)
-type chunk = {
-  addr : int;
-  mutable size : int;
-  mutable is_free : bool;
-  mutable prev_size : int;
-  mutable fd : chunk option;
-  mutable bk : chunk option;
-  mutable bin : int;  (* -1 when not binned *)
-  mutable in_fastbin : bool;
-}
+(* Chunk metadata lives in flat int arrays indexed by address, the way
+   dlmalloc keeps its boundary tags in the heap itself and reaches them
+   by address arithmetic. A chunk is named by its address; user data
+   starts at [addr + header_bytes]; [nil] is "no chunk".
 
-(* The wilderness chunk; kept out of the bins and the chunk table. *)
-type top = { mutable taddr : int; mutable tsize : int; mutable tprev_size : int }
+   The segment is cut into 16-byte slots ([min_chunk_bytes]), so no two
+   chunks ever start in the same slot. Slot [(addr - seg_base) / 16]
+   holds four ints for the chunk starting in it:
+
+     tag        size lsl 10 | (bin + 1) lsl 3 | odd lsl 2 | fastbin lsl 1 | free
+     prev_size  the boundary tag: size of the chunk just below (0 at the base)
+     fd, bk     bin links ([fd] alone for fastbins), [nil] at the ends
+
+   [odd] tells a chunk at the slot's first byte from one 8 bytes in;
+   [bin + 1] is 0 when the chunk is not binned; a tag of 0 marks a slot
+   no chunk starts in. Slots are grouped into pages covering
+   [1 lsl page_shift] bytes of the segment, allocated on first write
+   through a directory indexed by [(addr - seg_base) lsr page_shift].
+   A page covers 2 KB: its 512 ints are over the minor heap's size
+   limit, so it is allocated straight into the major heap rather than
+   copied there on promotion, and a heap of sparse large chunks pays
+   4 KB of metadata per occupied page, not more. *)
+
+let nil = -1
+
+let page_shift = 11
+
+let page_mask = (1 lsl page_shift) - 1
+
+let slot_ints = 4
+
+let page_ints = (1 lsl (page_shift - 4)) * slot_ints
+
+let free_bit = 1
+
+let fast_bit = 2
+
+let odd_bit = 4
+
+let bin_shift = 3
+
+let bin_bits = 0x7F lsl bin_shift
+
+let size_shift = 10
+
+let f_tag = 0
+
+let f_prev = 1
+
+let f_fd = 2
+
+let f_bk = 3
+
+(* The directory's placeholder for a page never written. *)
+let no_page : int array = [||]
 
 type kind =
   | Main                                      (* grows at the process break *)
@@ -57,19 +95,20 @@ type t = {
   mutable params : params;
   stats : Astats.t;
   kind : kind;
-  bins : chunk option array;
+  bins : int array;            (* head chunk of each bin, [nil] when empty *)
   mutable binmap_small : int;  (* bit i set iff bins.(i) is non-empty, for
                                   the 62 exact-spacing small bins — the
                                   first-fit scan is a ctz instead of a
                                   walk over empty slots *)
   mutable binmap_large : int;  (* same, bit (i - 62) for bins 62..95 *)
-  fastbins : chunk option array;              (* glibc-2.3-style no-coalesce caches, opt-in *)
-  chunks : chunk Int_table.t;                 (* every non-top chunk, by addr;
-                                                 probed on every free and
-                                                 coalesce, so open addressing *)
-  mm_chunks : int Int_table.t;                (* direct-mmapped: chunk addr -> mapped len *)
-  top : top;
-  mutable seg_base : int;                     (* -1 until the first growth *)
+  fastbins : int array;        (* glibc-2.3-style no-coalesce caches, opt-in *)
+  mutable pages : int array array;  (* chunk metadata, see above *)
+  mm_chunks : int Int_table.t; (* direct-mmapped: chunk addr -> mapped len *)
+  mutable top_addr : int;      (* the wilderness chunk, kept out of the
+                                  bins and the pages *)
+  mutable top_size : int;
+  mutable top_prev : int;
+  mutable seg_base : int;      (* -1 until the first growth *)
   mutable initialized : bool;
 }
 
@@ -114,46 +153,124 @@ let fastbin_cycles = 85
 
 let chunk_size_for request = max min_chunk_bytes ((request + header_bytes + align - 1) / align * align)
 
-let create_main proc ~costs ~params ~stats =
+let make proc ~costs ~params ~stats ~kind =
+  let base, initialized = match kind with Main -> (-1, false) | Sub s -> (s.region_base, true) in
   { proc;
     costs;
     params;
     stats;
-    kind = Main;
-    bins = Array.make nbins None;
+    kind;
+    bins = Array.make nbins nil;
     binmap_small = 0;
     binmap_large = 0;
-    fastbins = Array.make nfastbins None;
-    chunks = Int_table.create ~initial:256 ();
+    fastbins = Array.make nfastbins nil;
+    pages = Array.make 16 no_page;
     mm_chunks = Int_table.create ~initial:16 ();
-    top = { taddr = 0; tsize = 0; tprev_size = 0 };
-    seg_base = -1;
-    initialized = false;
+    top_addr = base;
+    top_size = 0;
+    top_prev = 0;
+    seg_base = base;
+    initialized;
   }
+
+let create_main proc ~costs ~params ~stats =
+  make proc ~costs ~params ~stats ~kind:Main
 
 let create_sub ctx ~costs ~params ~stats =
   match M.mmap ctx ~len:params.sub_heap_bytes with
   | None -> None
   | Some region_base ->
+      let region_len = params.sub_heap_bytes in
       let t =
-        { proc = M.proc ctx;
-          costs;
-          params;
-          stats;
-          kind = Sub { region_base; region_len = params.sub_heap_bytes; sub_brk = region_base };
-          bins = Array.make nbins None;
-          binmap_small = 0;
-          binmap_large = 0;
-          fastbins = Array.make nfastbins None;
-          chunks = Int_table.create ~initial:256 ();
-          mm_chunks = Int_table.create ~initial:16 ();
-          top = { taddr = region_base; tsize = 0; tprev_size = 0 };
-          seg_base = region_base;
-          initialized = true;
-        }
+        make (M.proc ctx) ~costs ~params ~stats
+          ~kind:(Sub { region_base; region_len; sub_brk = region_base })
       in
       stats.Astats.arenas_created <- stats.Astats.arenas_created + 1;
       Some t
+
+(* --- chunk metadata ------------------------------------------------------ *)
+
+(* Field [f] of the chunk at [c], which must exist. *)
+let[@inline] get t c f =
+  let rel = c - t.seg_base in
+  t.pages.(rel lsr page_shift).((((rel land page_mask) lsr 4) * slot_ints) + f)
+
+let[@inline] set t c f v =
+  let rel = c - t.seg_base in
+  t.pages.(rel lsr page_shift).((((rel land page_mask) lsr 4) * slot_ints) + f) <- v
+
+let[@inline] size t c = get t c f_tag lsr size_shift
+
+let[@inline] is_free t c = get t c f_tag land free_bit <> 0
+
+let[@inline] bin_of t c = ((get t c f_tag land bin_bits) lsr bin_shift) - 1
+
+let[@inline] fd t c = get t c f_fd
+
+let[@inline] set_size t c size = set t c f_tag ((get t c f_tag land ((1 lsl size_shift) - 1)) lor (size lsl size_shift))
+
+let[@inline] set_flag t c bit = set t c f_tag (get t c f_tag lor bit)
+
+let[@inline] clear_flags t c bits = set t c f_tag (get t c f_tag land lnot bits)
+
+let[@inline] set_bin t c idx = set t c f_tag ((get t c f_tag land lnot bin_bits) lor ((idx + 1) lsl bin_shift))
+
+(* Whether a chunk starts exactly at [addr]; safe on any address. *)
+let chunk_at t addr =
+  let rel = addr - t.seg_base in
+  t.initialized && rel >= 0
+  && rel land (align - 1) = 0
+  && rel lsr page_shift < Array.length t.pages
+  &&
+  let page = t.pages.(rel lsr page_shift) in
+  page != no_page
+  &&
+  let tag = page.(((rel land page_mask) lsr 4) * slot_ints) in
+  tag <> 0 && (tag land odd_bit <> 0) = (rel land 8 <> 0)
+
+(* Write a fresh unlinked chunk at [c], allocating its page (and room
+   in the directory) on first use. *)
+let new_chunk t c ~size ~prev_size ~free =
+  let rel = c - t.seg_base in
+  let pi = rel lsr page_shift in
+  let n = Array.length t.pages in
+  if pi >= n then begin
+    let dir = Array.make (max (pi + 1) (2 * n)) no_page in
+    Array.blit t.pages 0 dir 0 n;
+    t.pages <- dir
+  end;
+  let page =
+    let p = t.pages.(pi) in
+    if p != no_page then p
+    else begin
+      let p = Array.make page_ints 0 in
+      t.pages.(pi) <- p;
+      p
+    end
+  in
+  let o = ((rel land page_mask) lsr 4) * slot_ints in
+  page.(o + f_tag) <-
+    (size lsl size_shift) lor (if rel land 8 <> 0 then odd_bit else 0) lor if free then free_bit else 0;
+  page.(o + f_prev) <- prev_size;
+  page.(o + f_fd) <- nil;
+  page.(o + f_bk) <- nil
+
+(* The chunk at [c] stops existing (merged into a neighbour or the top). *)
+let[@inline] drop_chunk t c = set t c f_tag 0
+
+(* Fold [f] over the tag of every chunk in the segment. *)
+let fold_tags t f init =
+  let acc = ref init in
+  Array.iter
+    (fun page ->
+      let o = ref 0 in
+      while !o < Array.length page do
+        let tag = page.(!o) in
+        if tag <> 0 then acc := f tag !acc;
+        o := !o + slot_ints
+      done)
+    t.pages;
+  !acc
 
 (* --- bin list management ------------------------------------------------ *)
 
@@ -168,7 +285,7 @@ let binmap_set t idx =
   else t.binmap_large <- t.binmap_large lor (1 lsl (idx - small_bin_count))
 
 let binmap_clear_if_empty t idx =
-  if t.bins.(idx) = None then
+  if t.bins.(idx) = nil then
     if idx < small_bin_count then t.binmap_small <- t.binmap_small land lnot (1 lsl idx)
     else t.binmap_large <- t.binmap_large land lnot (1 lsl (idx - small_bin_count))
 
@@ -184,62 +301,58 @@ let ctz v =
   !n
 
 let unlink t c =
-  let idx = c.bin in
-  (match c.bk with
-  | Some b -> b.fd <- c.fd
-  | None -> t.bins.(idx) <- c.fd);
-  (match c.fd with Some f -> f.bk <- c.bk | None -> ());
-  c.fd <- None;
-  c.bk <- None;
-  c.bin <- -1;
+  let idx = bin_of t c in
+  let f = get t c f_fd and b = get t c f_bk in
+  if b <> nil then set t b f_fd f else t.bins.(idx) <- f;
+  if f <> nil then set t f f_bk b;
+  set t c f_fd nil;
+  set t c f_bk nil;
+  clear_flags t c bin_bits;
   binmap_clear_if_empty t idx
 
 (* Insert into its bin: small bins are LIFO; large bins are kept sorted
    ascending by size so the first fitting chunk is the best fit. Returns
    the number of list nodes examined (charged by the caller). *)
 let bin_insert t c =
-  let idx = bin_index c.size in
-  c.bin <- idx;
+  let csize = size t c in
+  let idx = bin_index csize in
+  set_bin t c idx;
   binmap_set t idx;
-  if is_small c.size then begin
-    (match t.bins.(idx) with
-    | Some head ->
-        head.bk <- Some c;
-        c.fd <- Some head
-    | None -> ());
-    t.bins.(idx) <- Some c;
+  if is_small csize then begin
+    let head = t.bins.(idx) in
+    if head <> nil then set t head f_bk c;
+    set t c f_fd head;
+    set t c f_bk nil;
+    t.bins.(idx) <- c;
     1
   end
   else begin
     let rec walk probes prev cur =
-      match cur with
-      | Some node when node.size < c.size -> walk (probes + 1) cur node.fd
-      | _ ->
-          c.fd <- cur;
-          c.bk <- prev;
-          (match cur with Some node -> node.bk <- Some c | None -> ());
-          (match prev with Some node -> node.fd <- Some c | None -> t.bins.(idx) <- Some c);
-          probes
+      if cur <> nil && size t cur < csize then walk (probes + 1) cur (fd t cur)
+      else begin
+        set t c f_fd cur;
+        set t c f_bk prev;
+        if cur <> nil then set t cur f_bk c;
+        if prev <> nil then set t prev f_fd c else t.bins.(idx) <- c;
+        probes
+      end
     in
-    walk 1 None t.bins.(idx)
+    walk 1 nil t.bins.(idx)
   end
 
 (* --- boundary-tag helpers ---------------------------------------------- *)
 
-let top_end t = t.top.taddr + t.top.tsize
+let top_end t = t.top_addr + t.top_size
 
 (* Record that the chunk starting at [addr] now follows one of [size]
    bytes. [addr] may be the top chunk or beyond the segment end. *)
 let set_prev_size t addr size =
-  if addr = t.top.taddr then t.top.tprev_size <- size
-  else
-    match Int_table.find_exn t.chunks addr with
-    | c -> c.prev_size <- size
-    | exception Not_found -> ()  (* beyond the segment end *)
+  if addr = t.top_addr then t.top_prev <- size
+  else if chunk_at t addr then set t addr f_prev size
 
 let prev_chunk t c =
-  if c.prev_size = 0 then None
-  else Int_table.find_opt t.chunks (c.addr - c.prev_size)
+  let ps = get t c f_prev in
+  if ps = 0 || not (chunk_at t (c - ps)) then nil else c - ps
 
 (* --- growth -------------------------------------------------------------- *)
 
@@ -253,12 +366,12 @@ let grow_top t ctx need =
       | Some base ->
           if not t.initialized then begin
             t.seg_base <- base;
-            t.top.taddr <- base;
-            t.top.tsize <- 0;
+            t.top_addr <- base;
+            t.top_size <- 0;
             t.initialized <- true
           end;
           (* sbrk growth is contiguous with the previous break. *)
-          t.top.tsize <- t.top.tsize + request;
+          t.top_size <- t.top_size + request;
           true
       | None ->
           t.stats.Astats.grow_failures <- t.stats.Astats.grow_failures + 1;
@@ -273,7 +386,7 @@ let grow_top t ctx need =
       end
       else begin
         s.sub_brk <- s.sub_brk + request;
-        t.top.tsize <- t.top.tsize + request;
+        t.top_size <- t.top_size + request;
         true
       end
 
@@ -283,12 +396,12 @@ let maybe_trim t ctx =
   match t.kind with
   | Sub _ -> ()
   | Main ->
-      if t.initialized && t.top.tsize > t.params.trim_threshold then begin
+      if t.initialized && t.top_size > t.params.trim_threshold then begin
         let keep = t.params.top_pad in
-        let release = (t.top.tsize - keep) / 4096 * 4096 in
+        let release = (t.top_size - keep) / 4096 * 4096 in
         if release > 0 then
           match M.sbrk ctx (-release) with
-          | Some _ -> t.top.tsize <- t.top.tsize - release
+          | Some _ -> t.top_size <- t.top_size - release
           | None -> ()
       end
 
@@ -298,47 +411,27 @@ let charge_probes t ctx probes = if probes > 0 then M.work ctx (Costs.apply t.co
 
 (* Split [size] bytes off the front of a free (unlinked) chunk; the
    remainder goes back to a bin. *)
-let split_chunk t ctx c size =
-  let rem_size = c.size - size in
+let split_chunk t ctx c csize =
+  let rem_size = size t c - csize in
   if rem_size >= min_chunk_bytes then begin
-    let rem =
-      { addr = c.addr + size;
-        size = rem_size;
-        is_free = true;
-        prev_size = size;
-        fd = None;
-        bk = None;
-        bin = -1;
-        in_fastbin = false;
-      }
-    in
-    c.size <- size;
-    Int_table.set t.chunks rem.addr rem;
-    set_prev_size t (rem.addr + rem.size) rem.size;
+    let rem = c + csize in
+    set_size t c csize;
+    new_chunk t rem ~size:rem_size ~prev_size:csize ~free:true;
+    set_prev_size t (rem + rem_size) rem_size;
     let probes = bin_insert t rem in
     M.work ctx (Costs.apply t.costs t.costs.Costs.split);
     charge_probes t ctx probes;
-    M.write_mem ctx rem.addr
+    M.write_mem ctx rem
   end
 
 (* Take [size] bytes from the bottom of the wilderness. *)
 let carve_top t ctx size =
-  let c =
-    { addr = t.top.taddr;
-      size;
-      is_free = false;
-      prev_size = t.top.tprev_size;
-      fd = None;
-      bk = None;
-      bin = -1;
-      in_fastbin = false;
-    }
-  in
-  t.top.taddr <- t.top.taddr + size;
-  t.top.tsize <- t.top.tsize - size;
-  t.top.tprev_size <- size;
-  Int_table.set t.chunks c.addr c;
-  M.write_mem ctx c.addr;
+  let c = t.top_addr in
+  new_chunk t c ~size ~prev_size:t.top_prev ~free:false;
+  t.top_addr <- c + size;
+  t.top_size <- t.top_size - size;
+  t.top_prev <- size;
+  M.write_mem ctx c;
   c
 
 (* Accounting convention: live/requested bytes are counted as usable
@@ -356,44 +449,48 @@ let malloc_mmapped t ctx csize =
       Some (addr + header_bytes)
 
 (* Coalesce a newly freed chunk with its neighbours and bin it (or merge
-   it into the wilderness). [c.is_free] must already be set. *)
+   it into the wilderness). The chunk's free flag must already be set. *)
 let coalesce_and_bin t ctx c =
   (* Coalesce backward. *)
   let c =
-    match prev_chunk t c with
-    | Some p when p.is_free ->
-        unlink t p;
-        Int_table.remove t.chunks c.addr;
-        p.size <- p.size + c.size;
-        set_prev_size t (p.addr + p.size) p.size;
-        M.work ctx (Costs.apply t.costs t.costs.Costs.coalesce);
-        M.write_mem ctx p.addr;
-        p
-    | Some _ | None -> c
+    let p = prev_chunk t c in
+    if p <> nil && is_free t p then begin
+      unlink t p;
+      let merged = size t p + size t c in
+      drop_chunk t c;
+      set_size t p merged;
+      set_prev_size t (p + merged) merged;
+      M.work ctx (Costs.apply t.costs t.costs.Costs.coalesce);
+      M.write_mem ctx p;
+      p
+    end
+    else c
   in
   (* Coalesce forward, possibly into the wilderness. *)
-  let next_addr = c.addr + c.size in
-  if next_addr = t.top.taddr then begin
-    Int_table.remove t.chunks c.addr;
-    t.top.taddr <- c.addr;
-    t.top.tsize <- t.top.tsize + c.size;
-    t.top.tprev_size <- c.prev_size;
+  let csize = size t c in
+  let next = c + csize in
+  if next = t.top_addr then begin
+    let prev = get t c f_prev in
+    drop_chunk t c;
+    t.top_addr <- c;
+    t.top_size <- t.top_size + csize;
+    t.top_prev <- prev;
     M.work ctx (Costs.apply t.costs t.costs.Costs.coalesce);
-    M.write_mem ctx c.addr;
+    M.write_mem ctx c;
     maybe_trim t ctx
   end
   else begin
-    (match Int_table.find_opt t.chunks next_addr with
-    | Some n when n.is_free ->
-        unlink t n;
-        Int_table.remove t.chunks n.addr;
-        c.size <- c.size + n.size;
-        set_prev_size t (c.addr + c.size) c.size;
-        M.work ctx (Costs.apply t.costs t.costs.Costs.coalesce)
-    | Some _ | None -> ());
+    if chunk_at t next && is_free t next then begin
+      unlink t next;
+      let merged = csize + size t next in
+      drop_chunk t next;
+      set_size t c merged;
+      set_prev_size t (c + merged) merged;
+      M.work ctx (Costs.apply t.costs t.costs.Costs.coalesce)
+    end;
     let probes = bin_insert t c in
     charge_probes t ctx probes;
-    M.write_mem ctx c.addr
+    M.write_mem ctx c
   end
 
 (* Merge every binned free chunk with its free neighbours — the bulk
@@ -401,23 +498,20 @@ let coalesce_and_bin t ctx c =
    pass performs it wholesale when the heap would otherwise grow.
    Returns the number of chunks that went through the coalescing path.
    Chunks absorbed by an earlier merge in the same pass are recognized
-   by their cleared bin tag and skipped. *)
+   by their cleared tag and skipped. *)
 let consolidate_deferred t ctx =
   let pending = ref [] in
   for i = nbins - 1 downto 0 do
-    let rec collect node =
-      match node with
-      | None -> ()
-      | Some c ->
-          pending := c :: !pending;
-          collect c.fd
-    in
-    collect t.bins.(i)
+    let node = ref t.bins.(i) in
+    while !node <> nil do
+      pending := !node :: !pending;
+      node := fd t !node
+    done
   done;
   let merged = ref 0 in
   List.iter
     (fun c ->
-      if c.is_free && c.bin >= 0 then begin
+      if chunk_at t c && is_free t c && bin_of t c >= 0 then begin
         incr merged;
         unlink t c;
         coalesce_and_bin t ctx c
@@ -432,82 +526,90 @@ let consolidate_deferred t ctx =
 let consolidate_fastbins t ctx =
   let drained = ref 0 in
   for i = 0 to nfastbins - 1 do
-    let rec drain node =
-      match node with
-      | None -> ()
-      | Some c ->
-          let next = c.fd in
-          c.fd <- None;
-          c.in_fastbin <- false;
-          c.is_free <- true;
-          incr drained;
-          coalesce_and_bin t ctx c;
-          drain next
-    in
-    drain t.fastbins.(i);
-    t.fastbins.(i) <- None
+    let node = ref t.fastbins.(i) in
+    while !node <> nil do
+      let c = !node in
+      node := fd t c;
+      set t c f_fd nil;
+      clear_flags t c fast_bit;
+      set_flag t c free_bit;
+      incr drained;
+      coalesce_and_bin t ctx c
+    done;
+    t.fastbins.(i) <- nil
   done;
   !drained
 
-(* Scan bins at [idx] and above for the first chunk of at least [csize];
-   large bins are sorted so the first fit within a bin is best. The
-   occupancy bitmaps drive the scan, so only non-empty bins are visited —
-   exactly the bins the plain walk charged probes for, so the simulated
-   cost (and the chunk chosen) is identical to a linear scan. *)
-let search_bins t idx csize =
+(* Scan bins at [idx] and above for the first chunk of at least [csize]
+   and charge the probes; large bins are sorted so the first fit within
+   a bin is best. The occupancy bitmaps drive the scan, so only
+   non-empty bins are visited — exactly the bins the plain walk charged
+   probes for, so the simulated cost (and the chunk chosen) is identical
+   to a linear scan. *)
+let search_bins t ctx idx csize =
   let probes = ref 0 in
-  let found = ref None in
+  let found = ref nil in
   if idx < small_bin_count then begin
     let bits = t.binmap_small land ((-1) lsl idx) in
     if bits <> 0 then begin
-      match t.bins.(ctz bits) with
-      | Some head ->
-          incr probes;
-          (* Exact-spacing bin: the head always fits if the bin is right. *)
-          if head.size >= csize then found := Some head
-      | None -> assert false
+      let head = t.bins.(ctz bits) in
+      incr probes;
+      (* Exact-spacing bin: the head always fits if the bin is right. *)
+      if size t head >= csize then found := head
     end
   end;
-  if !found = None then begin
+  if !found = nil then begin
     let start = if idx < small_bin_count then 0 else idx - small_bin_count in
     let bits = ref (t.binmap_large land ((-1) lsl start)) in
-    while !found = None && !bits <> 0 do
+    while !found = nil && !bits <> 0 do
       let i = small_bin_count + ctz !bits in
       bits := !bits land (!bits - 1);
-      match t.bins.(i) with
-      | Some head ->
-          incr probes;
-          let rec walk node =
-            match node with
-            | None -> ()
-            | Some c ->
-                incr probes;
-                if c.size >= csize then found := Some c else walk c.fd
-          in
-          walk (Some head)
-      | None -> assert false
+      incr probes;
+      let node = ref t.bins.(i) in
+      while !node <> nil do
+        incr probes;
+        if size t !node >= csize then begin
+          found := !node;
+          node := nil
+        end
+        else node := fd t !node
+      done
     done
   end;
-  (!found, !probes)
+  charge_probes t ctx !probes;
+  !found
+
+(* Hand out the free chunk [c], found by a bin search. *)
+let take_binned t ctx c csize =
+  unlink t c;
+  clear_flags t c free_bit;
+  split_chunk t ctx c csize;
+  M.write_mem ctx c;
+  Astats.record_malloc t.stats (size t c - header_bytes);
+  Some (c + header_bytes)
+
+let take_top t ctx csize =
+  let c = carve_top t ctx csize in
+  Astats.record_malloc t.stats (csize - header_bytes);
+  Some (c + header_bytes)
 
 let malloc t ctx request =
   if request <= 0 then invalid_arg "Dlheap.malloc: size <= 0";
   let csize = chunk_size_for request in
   if
-    t.params.use_fastbins && csize <= fastbin_limit && t.fastbins.(fastbin_index csize) <> None
+    t.params.use_fastbins && csize <= fastbin_limit && t.fastbins.(fastbin_index csize) <> nil
   then begin
     (* glibc fast path: exact-size LIFO pop, no unlink or split work —
        charged instead of, not on top of, the regular malloc path. *)
-    match t.fastbins.(fastbin_index csize) with
-    | Some c ->
-        t.fastbins.(fastbin_index csize) <- c.fd;
-        c.fd <- None;
-        c.in_fastbin <- false;
-        M.work ctx (Costs.apply t.costs fastbin_cycles);
-        M.write_mem ctx c.addr;
-        Astats.record_malloc t.stats (c.size - header_bytes);
-        Some (c.addr + header_bytes)
-    | None -> assert false
+    let idx = fastbin_index csize in
+    let c = t.fastbins.(idx) in
+    t.fastbins.(idx) <- fd t c;
+    set t c f_fd nil;
+    clear_flags t c fast_bit;
+    M.work ctx (Costs.apply t.costs fastbin_cycles);
+    M.write_mem ctx c;
+    Astats.record_malloc t.stats (size t c - header_bytes);
+    Some (c + header_bytes)
   end
   else if csize >= t.params.mmap_threshold then begin
     M.work ctx (Costs.apply t.costs t.costs.Costs.malloc_base);
@@ -524,120 +626,94 @@ let malloc t ctx request =
        split bookkeeping. *)
     M.work ctx (Costs.apply t.costs t.costs.Costs.malloc_base);
     let idx = (csize - min_chunk_bytes) / align in
-    match t.bins.(idx) with
-    | Some c when c.size = csize ->
-        charge_probes t ctx 1;
-        (match c.fd with
-        | Some f ->
-            f.bk <- None;
-            t.bins.(idx) <- c.fd
-        | None ->
-            t.bins.(idx) <- None;
-            t.binmap_small <- t.binmap_small land lnot (1 lsl idx));
-        c.fd <- None;
-        c.bin <- -1;
-        c.is_free <- false;
-        M.write_mem ctx c.addr;
-        Astats.record_malloc t.stats (c.size - header_bytes);
-        Some (c.addr + header_bytes)
-    | Some _ | None -> assert false (* exact spacing: the head's size is the bin's size *)
+    let c = t.bins.(idx) in
+    (* exact spacing: the head's size is the bin's size *)
+    assert (size t c = csize);
+    charge_probes t ctx 1;
+    let f = fd t c in
+    if f <> nil then begin
+      set t f f_bk nil;
+      t.bins.(idx) <- f
+    end
+    else begin
+      t.bins.(idx) <- nil;
+      t.binmap_small <- t.binmap_small land lnot (1 lsl idx)
+    end;
+    set t c f_fd nil;
+    clear_flags t c (bin_bits lor free_bit);
+    M.write_mem ctx c;
+    Astats.record_malloc t.stats (csize - header_bytes);
+    Some (c + header_bytes)
   end
   else begin
     M.work ctx (Costs.apply t.costs t.costs.Costs.malloc_base);
     let idx = bin_index csize in
-    let found, probes = search_bins t idx csize in
-    charge_probes t ctx probes;
-    match found with
-    | Some c ->
-        unlink t c;
-        c.is_free <- false;
-        split_chunk t ctx c csize;
-        M.write_mem ctx c.addr;
-        Astats.record_malloc t.stats (c.size - header_bytes);
-        Some (c.addr + header_bytes)
-    | None ->
-        (* Nothing binned fits: use the wilderness, growing it if needed. *)
-        if t.top.tsize >= csize + min_chunk_bytes then begin
-          let c = carve_top t ctx csize in
-          Astats.record_malloc t.stats (c.size - header_bytes);
-          Some (c.addr + header_bytes)
-        end
-        else if
-          (t.params.use_fastbins && consolidate_fastbins t ctx > 0)
-          || (t.params.defer_coalescing && consolidate_deferred t ctx > 0)
-        then begin
-          (* glibc consolidates the fastbins (and, with coalescing
-             deferred, the binned free chunks) before growing the heap;
-             retry the bins with the coalesced chunks available. *)
-          let found, probes = search_bins t idx csize in
-          charge_probes t ctx probes;
-          match found with
-          | Some c ->
-              unlink t c;
-              c.is_free <- false;
-              split_chunk t ctx c csize;
-              M.write_mem ctx c.addr;
-              Astats.record_malloc t.stats (c.size - header_bytes);
-              Some (c.addr + header_bytes)
-          | None ->
-              if t.top.tsize >= csize + min_chunk_bytes || grow_top t ctx (csize + min_chunk_bytes)
-              then begin
-                let c = carve_top t ctx csize in
-                Astats.record_malloc t.stats (c.size - header_bytes);
-                Some (c.addr + header_bytes)
-              end
-              else begin
-                match t.kind with
-                | Main -> malloc_mmapped t ctx csize
-                | Sub _ -> None
-              end
-        end
-        else if grow_top t ctx (csize + min_chunk_bytes) then begin
-          let c = carve_top t ctx csize in
-          Astats.record_malloc t.stats (c.size - header_bytes);
-          Some (c.addr + header_bytes)
-        end
-        else begin
-          match t.kind with
-          | Main when t.params.mmap_fallback ->
-              (* The brk hit a mapping: fall back to mmap for this
-                 request, as glibc does after 2.1.3. *)
-              malloc_mmapped t ctx csize
-          | Main | Sub _ -> None
-        end
+    let c = search_bins t ctx idx csize in
+    if c <> nil then take_binned t ctx c csize
+    else if
+      (* Nothing binned fits: use the wilderness, growing it if needed. *)
+      t.top_size >= csize + min_chunk_bytes
+    then take_top t ctx csize
+    else if
+      (t.params.use_fastbins && consolidate_fastbins t ctx > 0)
+      || (t.params.defer_coalescing && consolidate_deferred t ctx > 0)
+    then begin
+      (* glibc consolidates the fastbins (and, with coalescing
+         deferred, the binned free chunks) before growing the heap;
+         retry the bins with the coalesced chunks available. *)
+      let c = search_bins t ctx idx csize in
+      if c <> nil then take_binned t ctx c csize
+      else if t.top_size >= csize + min_chunk_bytes || grow_top t ctx (csize + min_chunk_bytes)
+      then take_top t ctx csize
+      else begin
+        match t.kind with
+        | Main -> malloc_mmapped t ctx csize
+        | Sub _ -> None
+      end
+    end
+    else if grow_top t ctx (csize + min_chunk_bytes) then take_top t ctx csize
+    else begin
+      match t.kind with
+      | Main when t.params.mmap_fallback ->
+          (* The brk hit a mapping: fall back to mmap for this
+             request, as glibc does after 2.1.3. *)
+          malloc_mmapped t ctx csize
+      | Main | Sub _ -> None
+    end
   end
 
 (* --- free ---------------------------------------------------------------- *)
 
+(* Direct-mmapped chunks never lie in the segment, so the segment lookup
+   (a few loads) goes first and the hashed one only runs when it fails. *)
 let free t ctx user =
-  let caddr = user - header_bytes in
-  if Int_table.mem t.mm_chunks caddr then begin
-    M.work ctx (Costs.apply t.costs t.costs.Costs.free_base);
-    let len = Int_table.find_exn t.mm_chunks caddr in
-    Int_table.remove t.mm_chunks caddr;
-    M.munmap ctx caddr ~len;
-    Astats.record_free t.stats (len - header_bytes)
+  let c = user - header_bytes in
+  if not (chunk_at t c) then begin
+    match Int_table.find_exn t.mm_chunks c with
+    | len ->
+        M.work ctx (Costs.apply t.costs t.costs.Costs.free_base);
+        Int_table.remove t.mm_chunks c;
+        M.munmap ctx c ~len;
+        Astats.record_free t.stats (len - header_bytes)
+    | exception Not_found -> invalid_arg "Dlheap.free: address not owned by this heap"
   end
   else begin
-    let c =
-      match Int_table.find_exn t.chunks caddr with
-      | c -> c
-      | exception Not_found -> invalid_arg "Dlheap.free: address not owned by this heap"
-    in
-    if c.is_free then invalid_arg "Dlheap.free: double free";
-    if c.in_fastbin then invalid_arg "Dlheap.free: double free (fastbin)";
-    M.read_mem ctx c.addr;
-    Astats.record_free t.stats (c.size - header_bytes);
-    if t.params.use_fastbins && c.size <= fastbin_limit then begin
+    let tag = get t c f_tag in
+    if tag land free_bit <> 0 then invalid_arg "Dlheap.free: double free";
+    if tag land fast_bit <> 0 then invalid_arg "Dlheap.free: double free (fastbin)";
+    let csize = tag lsr size_shift in
+    M.read_mem ctx c;
+    Astats.record_free t.stats (csize - header_bytes);
+    if t.params.use_fastbins && csize <= fastbin_limit then begin
       (* Fast path: no coalescing, the chunk stays marked in use. *)
       M.work ctx (Costs.apply t.costs fastbin_cycles);
-      let idx = fastbin_index c.size in
-      c.in_fastbin <- true;
-      c.fd <- t.fastbins.(idx);
-      t.fastbins.(idx) <- Some c;
-      M.write_mem ctx c.addr
+      let idx = fastbin_index csize in
+      set_flag t c fast_bit;
+      set t c f_fd t.fastbins.(idx);
+      t.fastbins.(idx) <- c;
+      M.write_mem ctx c
     end
-    else if t.params.defer_coalescing && is_small c.size then begin
+    else if t.params.defer_coalescing && is_small csize then begin
       (* Deferred coalescing: tag the chunk free and LIFO-push it into
          its exact-spacing bin, leaving the neighbour merges to a bulk
          [consolidate_deferred] pass when the heap would otherwise
@@ -645,14 +721,14 @@ let free t ctx user =
          fast path. *)
       M.work ctx (Costs.apply t.costs t.costs.Costs.deferred_free);
       t.stats.Astats.deferred_frees <- t.stats.Astats.deferred_frees + 1;
-      c.is_free <- true;
+      set_flag t c free_bit;
       let probes = bin_insert t c in
       charge_probes t ctx probes;
-      M.write_mem ctx c.addr
+      M.write_mem ctx c
     end
     else begin
       M.work ctx (Costs.apply t.costs t.costs.Costs.free_base);
-      c.is_free <- true;
+      set_flag t c free_bit;
       coalesce_and_bin t ctx c
     end
   end
@@ -661,35 +737,33 @@ let free t ctx user =
 
 let owns t user =
   let caddr = user - header_bytes in
-  if Int_table.mem t.mm_chunks caddr then true
-  else
-    match t.kind with
-    | Main -> t.initialized && caddr >= t.seg_base && caddr < top_end t
-    | Sub s -> caddr >= s.region_base && caddr < s.region_base + s.region_len
+  (match t.kind with
+  | Main -> t.initialized && caddr >= t.seg_base && caddr < top_end t
+  | Sub s -> caddr >= s.region_base && caddr < s.region_base + s.region_len)
+  || Int_table.mem t.mm_chunks caddr
 
 let usable_size t user =
-  let caddr = user - header_bytes in
-  match Int_table.find_opt t.mm_chunks caddr with
-  | Some len -> len - header_bytes
-  | None -> (
-      match Int_table.find_opt t.chunks caddr with
-      | Some c -> c.size - header_bytes
-      | None -> invalid_arg "Dlheap.usable_size: unknown address")
+  let c = user - header_bytes in
+  if chunk_at t c then size t c - header_bytes
+  else
+    match Int_table.find_exn t.mm_chunks c with
+    | len -> len - header_bytes
+    | exception Not_found -> invalid_arg "Dlheap.usable_size: unknown address"
 
 let is_sub t = match t.kind with Main -> false | Sub _ -> true
 
 let segment_bounds t = if t.initialized then (t.seg_base, top_end t) else (0, 0)
 
-let top_bytes t = t.top.tsize
+let top_bytes t = t.top_size
 
 let free_bytes t =
-  Int_table.fold (fun _ c acc -> if c.is_free then acc + c.size else acc) t.chunks 0
+  fold_tags t (fun tag acc -> if tag land free_bit <> 0 then acc + (tag lsr size_shift) else acc) 0
 
 let live_chunks t =
-  Int_table.fold (fun _ c acc -> if c.is_free then acc else acc + 1) t.chunks 0
+  fold_tags t (fun tag acc -> if tag land free_bit <> 0 then acc else acc + 1) (Int_table.length t.mm_chunks)
 
 let used_bytes t =
-  Int_table.fold (fun _ c acc -> if c.is_free then acc else acc + c.size) t.chunks 0
+  fold_tags t (fun tag acc -> if tag land free_bit <> 0 then acc else acc + (tag lsr size_shift)) 0
 
 let mmapped_bytes t = Int_table.fold (fun _ len acc -> acc + len) t.mm_chunks 0
 
@@ -697,14 +771,16 @@ let mmapped_count t = Int_table.length t.mm_chunks
 
 let set_params t params = t.params <- params
 
-let fastbin_chunks t =
-  let count = ref 0 in
-  Array.iter
-    (fun head ->
-      let rec walk = function None -> () | Some c -> incr count; walk c.fd in
-      walk head)
-    t.fastbins;
-  !count
+(* Length of the list starting at [head], linked through [fd]. *)
+let list_length t head =
+  let n = ref 0 and node = ref head in
+  while !node <> nil do
+    incr n;
+    node := fd t !node
+  done;
+  !n
+
+let fastbin_chunks t = Array.fold_left (fun acc head -> acc + list_length t head) 0 t.fastbins
 
 let consolidate = consolidate_fastbins
 
@@ -714,68 +790,69 @@ let params t = t.params
 
 let validate t =
   let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
+  (* The segment walk counts the chunks it visits, so [check_counts] can
+     tell a stale slot from a chunk. *)
+  let walked = ref 0 in
   let check_segment () =
     if not t.initialized then Ok ()
     else begin
       let rec walk addr prev_size prev_free =
-        if addr = t.top.taddr then
-          if t.top.tprev_size <> prev_size then
-            fail "top.prev_size=%d but previous chunk has size %d" t.top.tprev_size prev_size
+        if addr = t.top_addr then
+          if t.top_prev <> prev_size then
+            fail "top.prev_size=%d but previous chunk has size %d" t.top_prev prev_size
           else Ok ()
-        else if addr > t.top.taddr then fail "chunk walk overshot top at 0x%x" addr
-        else
-          match Int_table.find_opt t.chunks addr with
-          | None -> fail "segment hole at 0x%x" addr
-          | Some c ->
-              if c.size < min_chunk_bytes then fail "undersized chunk at 0x%x" addr
-              else if c.size mod align <> 0 then fail "misaligned size at 0x%x" addr
-              else if c.prev_size <> prev_size then
-                fail "bad boundary tag at 0x%x: prev_size=%d, actual=%d" addr c.prev_size prev_size
-              else if c.is_free && prev_free && not t.params.defer_coalescing then
-                fail "adjacent free chunks at 0x%x" addr
-              else if c.is_free && c.bin < 0 then fail "free chunk at 0x%x not in a bin" addr
-              else if (not c.is_free) && c.bin >= 0 then fail "live chunk at 0x%x still binned" addr
-              else walk (addr + c.size) c.size c.is_free
+        else if addr > t.top_addr then fail "chunk walk overshot top at 0x%x" addr
+        else if not (chunk_at t addr) then fail "segment hole at 0x%x" addr
+        else begin
+          incr walked;
+          let csize = size t addr and free = is_free t addr and bin = bin_of t addr in
+          if csize < min_chunk_bytes then fail "undersized chunk at 0x%x" addr
+          else if csize mod align <> 0 then fail "misaligned size at 0x%x" addr
+          else if get t addr f_prev <> prev_size then
+            fail "bad boundary tag at 0x%x: prev_size=%d, actual=%d" addr (get t addr f_prev) prev_size
+          else if free && prev_free && not t.params.defer_coalescing then
+            fail "adjacent free chunks at 0x%x" addr
+          else if free && bin < 0 then fail "free chunk at 0x%x not in a bin" addr
+          else if (not free) && bin >= 0 then fail "live chunk at 0x%x still binned" addr
+          else walk (addr + csize) csize free
+        end
       in
       walk t.seg_base 0 false
     end
-  in
-  let same_chunk a b =
-    match (a, b) with None, None -> true | Some x, Some y -> x == y | Some _, None | None, Some _ -> false
   in
   let check_bins () =
     let rec check_bin idx =
       if idx >= nbins then Ok ()
       else begin
-        let rec walk prev node last_size count =
-          match node with
-          | None -> Ok count
-          | Some c ->
-              if not c.is_free then fail "bin %d holds live chunk 0x%x" idx c.addr
-              else if c.bin <> idx then fail "chunk 0x%x in bin %d but tagged %d" c.addr idx c.bin
-              else if bin_index c.size <> idx then
-                fail "chunk 0x%x (size %d) misfiled in bin %d" c.addr c.size idx
-              else if not (same_chunk c.bk prev) then fail "broken back link at 0x%x in bin %d" c.addr idx
-              else if (not (is_small c.size)) && c.size < last_size then
-                fail "large bin %d unsorted at 0x%x" idx c.addr
-              else walk node c.fd c.size (count + 1)
+        let rec walk prev node last_size =
+          if node = nil then Ok ()
+          else if not (chunk_at t node) then fail "bin %d links to 0x%x, not a chunk" idx node
+          else begin
+            let csize = size t node in
+            if not (is_free t node) then fail "bin %d holds live chunk 0x%x" idx node
+            else if bin_of t node <> idx then
+              fail "chunk 0x%x in bin %d but tagged %d" node idx (bin_of t node)
+            else if bin_index csize <> idx then
+              fail "chunk 0x%x (size %d) misfiled in bin %d" node csize idx
+            else if get t node f_bk <> prev then fail "broken back link at 0x%x in bin %d" node idx
+            else if (not (is_small csize)) && csize < last_size then
+              fail "large bin %d unsorted at 0x%x" idx node
+            else walk node (fd t node) csize
+          end
         in
-        match walk None t.bins.(idx) 0 0 with
+        match walk nil t.bins.(idx) 0 with
         | Error _ as e -> e
-        | Ok _ -> check_bin (idx + 1)
+        | Ok () -> check_bin (idx + 1)
       end
     in
     check_bin 0
   in
   let check_counts () =
-    let binned = ref 0 in
-    Array.iter
-      (fun head ->
-        let rec count node = match node with None -> () | Some c -> incr binned; count c.fd in
-        count head)
-      t.bins;
-    let free_chunks = Int_table.fold (fun _ c acc -> if c.is_free then acc + 1 else acc) t.chunks 0 in
-    if !binned <> free_chunks then fail "%d free chunks but %d binned" free_chunks !binned
+    let binned = Array.fold_left (fun acc head -> acc + list_length t head) 0 t.bins in
+    let free_chunks = fold_tags t (fun tag acc -> if tag land free_bit <> 0 then acc + 1 else acc) 0 in
+    let slots = fold_tags t (fun _ acc -> acc + 1) 0 in
+    if binned <> free_chunks then fail "%d free chunks but %d binned" free_chunks binned
+    else if slots <> !walked then fail "%d chunk slots but %d chunks in the segment" slots !walked
     else Ok ()
   in
   let check_binmap () =
@@ -786,10 +863,9 @@ let validate t =
           if idx < small_bin_count then t.binmap_small land (1 lsl idx)
           else t.binmap_large land (1 lsl (idx - small_bin_count))
         in
-        match (t.bins.(idx), bit) with
-        | Some _, 0 -> fail "bin %d occupied but binmap bit clear" idx
-        | None, b when b <> 0 -> fail "bin %d empty but binmap bit set" idx
-        | _ -> check (idx + 1)
+        if t.bins.(idx) <> nil && bit = 0 then fail "bin %d occupied but binmap bit clear" idx
+        else if t.bins.(idx) = nil && bit <> 0 then fail "bin %d empty but binmap bit set" idx
+        else check (idx + 1)
       end
     in
     check 0
@@ -798,21 +874,21 @@ let validate t =
     let bad = ref None in
     Array.iteri
       (fun i head ->
-        let rec walk = function
-          | None -> ()
-          | Some c ->
-              if !bad = None then begin
-                if not c.in_fastbin then
-                  bad := Some (Printf.sprintf "fastbin %d holds untagged chunk 0x%x" i c.addr)
-                else if c.is_free then bad := Some (Printf.sprintf "fastbin chunk 0x%x marked free" c.addr)
-                else if c.size > fastbin_limit then
-                  bad := Some (Printf.sprintf "oversized fastbin chunk 0x%x" c.addr)
-                else if fastbin_index c.size <> i then
-                  bad := Some (Printf.sprintf "fastbin chunk 0x%x misfiled" c.addr)
-              end;
-              walk c.fd
-        in
-        walk head)
+        let node = ref head in
+        while !bad = None && !node <> nil do
+          let c = !node in
+          if not (chunk_at t c) then bad := Some (Printf.sprintf "fastbin %d links to 0x%x, not a chunk" i c)
+          else begin
+            if get t c f_tag land fast_bit = 0 then
+              bad := Some (Printf.sprintf "fastbin %d holds untagged chunk 0x%x" i c)
+            else if is_free t c then bad := Some (Printf.sprintf "fastbin chunk 0x%x marked free" c)
+            else if size t c > fastbin_limit then
+              bad := Some (Printf.sprintf "oversized fastbin chunk 0x%x" c)
+            else if fastbin_index (size t c) <> i then
+              bad := Some (Printf.sprintf "fastbin chunk 0x%x misfiled" c);
+            node := fd t c
+          end
+        done)
       t.fastbins;
     match !bad with Some m -> Error m | None -> Ok ()
   in

@@ -64,9 +64,6 @@ let make proc ?(costs = Costs.glibc) ?(params = Dlheap.default_params) ?max_aren
 
 let arena_count t = t.n_arenas
 
-(* Live prefix of the capacity array; for cold accessors only. *)
-let live_arenas t = Array.sub t.arenas 0 t.n_arenas
-
 (* Amortized-growth append: double the capacity when full. *)
 let push_arena t arena =
   let cap = Array.length t.arenas in
@@ -87,12 +84,6 @@ let fold_arenas t f init =
 
 let arena_of_thread t tid =
   match Int_table.find_opt t.tl_arena tid with Some a -> Some a.aindex | None -> None
-
-let arena_live_chunks t =
-  Array.to_list (Array.map (fun a -> Dlheap.live_chunks a.heap) (live_arenas t))
-
-let arena_free_bytes t =
-  Array.to_list (Array.map (fun a -> Dlheap.free_bytes a.heap) (live_arenas t))
 
 let heap_bytes t =
   fold_arenas t

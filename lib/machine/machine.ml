@@ -171,6 +171,9 @@ and thread = {
   mutable hooks : (unit -> unit) list;
   joiners : thread Queue.t;
   mutable lane : int;  (* engine pid: this thread's trace lane *)
+  mutable as_some : thread option;
+      (* [Some] of this thread, built once at spawn: a CPU dispatch or a
+         mutex acquisition stores it instead of allocating a fresh box *)
 }
 
 type ctx = thread
@@ -318,7 +321,7 @@ let dispatch m cpu =
   | None ->
       if not (Queue.is_empty m.ready) then begin
         let th = Queue.take m.ready in
-        cpu.current <- Some th;
+        cpu.current <- th.as_some;
         th.state <- Running;
         th.on_cpu <- cpu.cpu_id;
         (* The first timer tick after a switch lands at a random phase of
@@ -423,7 +426,7 @@ let find_idle_cpu m =
 let acquire_cpu_initial m th =
   match find_idle_cpu m with
   | Some cpu ->
-      cpu.current <- Some th;
+      cpu.current <- th.as_some;
       th.state <- Running;
       th.on_cpu <- cpu.cpu_id;
       th.hot.run_start_ns <- Engine.now m.engine;
@@ -500,7 +503,7 @@ let mutex_try_lock mu th =
   work_exact_cycles th (lock_op_cost th);
   match mu.owner with
   | None ->
-      mu.owner <- Some th;
+      mu.owner <- th.as_some;
       mu.acquisitions <- mu.acquisitions + 1;
       note_acquired mu th;
       true
@@ -680,7 +683,7 @@ let rec mutex_lock_slow mu th =
       work_exact_cycles th (lock_op_cost th);
       match mu.owner with
       | None ->
-          mu.owner <- Some th;
+          mu.owner <- th.as_some;
           th.spin_wins <- th.spin_wins + 1;
           mu.acquisitions <- mu.acquisitions + 1;
           note_acquired mu th
@@ -709,7 +712,7 @@ let rec mutex_lock_slow mu th =
         work_exact_cycles th (lock_op_cost th);
         match mu.owner with
         | None ->
-            mu.owner <- Some th;
+            mu.owner <- th.as_some;
             mu.acquisitions <- mu.acquisitions + 1;
             note_acquired mu th
         | Some _ -> mutex_lock_slow mu th
@@ -728,7 +731,7 @@ let mutex_lock mu th =
   work_exact_cycles th (lock_op_cost th);
   match mu.owner with
   | None ->
-      mu.owner <- Some th;
+      mu.owner <- th.as_some;
       mu.acquisitions <- mu.acquisitions + 1;
       note_acquired mu th
   | Some _ ->
@@ -752,7 +755,7 @@ let mutex_unlock mu th =
       if mu.mm.config.mutex_handoff then begin
         (* Direct handoff: the waiter owns the lock before it even runs,
            which is what produces lock convoys under heavy contention. *)
-        mu.owner <- Some w;
+        mu.owner <- w.as_some;
         work_exact_cycles th mu.mm.config.wake_cycles;
         make_ready mu.mm w
       end
@@ -832,10 +835,35 @@ let page_in th addr ~len =
 
 let work_exact = work_exact_cycles
 
+(* Jittered entry point for the allocator and workload work items. The
+   factor [1 -. pct +. u *. 2 pct] is built here from an int draw, so no
+   float crosses a call boundary (which would box it), and the common
+   case is [work_exact_cycles]'s fast branch; the quantum-boundary path
+   falls back to [consume]. *)
 let work th cycles =
   if cycles > 0 then begin
-    let j = Rng.jitter th.trng th.tproc.pm.config.op_jitter in
-    consume th (float_of_int cycles *. j)
+    let m = th.tproc.pm in
+    let pct = m.config.op_jitter in
+    let fc =
+      if pct <= 0. then float_of_int cycles
+      else
+        float_of_int cycles
+        *. (1.0 -. pct +. (float_of_int (Rng.bits53 th.trng) *. Rng.scale_53 *. (2.0 *. pct)))
+    in
+    let q = th.hot.quantum_left in
+    if fc > 0. && fc <= q then begin
+      m.dcell.cell_time <- fc *. m.cycle_ns;
+      Engine.delay_pending m.engine;
+      th.hot.cpu_cycles <- th.hot.cpu_cycles +. fc;
+      m.mh.busy <- m.mh.busy +. fc;
+      let q' = q -. fc in
+      th.hot.quantum_left <- q';
+      if q' <= 0. then begin
+        if Queue.is_empty m.ready then th.hot.quantum_left <- m.quantum_cycles
+        else preempt m th
+      end
+    end
+    else consume th fc
   end
 
 (* Reserve a thread stack, riding the fault layer's retry policy: a
@@ -890,9 +918,11 @@ let spawn p ?name body =
       hooks = [];
       joiners = Queue.create ();
       lane = 0;
+      as_some = None;
     }
   in
   th.park_register <- (fun r -> th.resume <- r);
+  th.as_some <- Some th;
   p.live_threads <- p.live_threads + 1;
   if p.live_threads >= 2 then p.ever_multi <- true;
   (* The engine only needs a name string for trace lanes (and error

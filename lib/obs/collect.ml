@@ -9,12 +9,18 @@ let publish ~label r =
     Mutex.unlock lock
   end
 
+(* Different runs can share a label (the same bench configuration inside
+   two experiments), and pool tasks publish in completion order, so ties
+   are broken by the recorded counters: runs that still tie print
+   identical metrics, and the output is the same at any pool width. *)
 let drain () =
   Mutex.lock lock;
-  let runs = List.rev !published in
+  let runs = !published in
   published := [];
   Mutex.unlock lock;
-  List.stable_sort (fun (a, _) (b, _) -> String.compare a b) runs
+  List.map (fun (label, r) -> ((label, Recorder.counters r), r)) runs
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map (fun ((label, _), r) -> (label, r))
 
 let pending () =
   Mutex.lock lock;

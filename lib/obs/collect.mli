@@ -14,10 +14,11 @@ val publish : label:string -> Recorder.t -> unit
     unconditionally. Thread/domain-safe. *)
 
 val drain : unit -> (string * Recorder.t) list
-(** Remove and return everything published so far, sorted by label
-    (ties keep arrival order). Labels double as trace "process" names,
-    so the sort makes sink output deterministic for a deterministic
-    label set regardless of which pool domain ran which task. *)
+(** Remove and return everything published so far, sorted by label,
+    then by counters (two runs may share a label). Labels double as
+    trace "process" names, so the sort makes sink output deterministic
+    for a deterministic set of runs regardless of which pool domain ran
+    which task. *)
 
 val pending : unit -> int
 (** Number of published, not-yet-drained recorders. *)

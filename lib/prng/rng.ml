@@ -61,35 +61,25 @@ let int_in t lo hi =
   assert (lo <= hi);
   lo + int t (hi - lo + 1)
 
-let scale_53 = 1.0 /. 9007199254740992.0 (* 2^53 *)
-
-let float (t : t) bound =
-  assert (bound > 0.);
+(* 53 random bits, as an int: the draw [float] scales. A caller that
+   builds its own float from them (the machine's per-operation jitter)
+   keeps the arithmetic local and unboxed, where a float returned across
+   the call would be boxed. *)
+let bits53 (t : t) =
   let s = Int64.add (Bigarray.Array1.unsafe_get t 0) golden_gamma in
   Bigarray.Array1.unsafe_set t 0 s;
   let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  let bits = Int64.to_int (Int64.shift_right_logical z 11) in
-  float_of_int bits *. scale_53 *. bound
+  Int64.to_int (Int64.shift_right_logical z 11)
+
+let scale_53 = 1.0 /. 9007199254740992.0 (* 2^53 *)
+
+let float t bound =
+  assert (bound > 0.);
+  float_of_int (bits53 t) *. scale_53 *. bound
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
-
-(* [1.0 -. pct +. float t (2.0 *. pct)] with the draw inlined so the
-   only allocation left is boxing the returned float. The float
-   arithmetic reproduces [float]'s exact operation order, so the result
-   is bit-identical to the composed version. *)
-let jitter (t : t) pct =
-  if pct <= 0. then 1.0
-  else begin
-    let s = Int64.add (Bigarray.Array1.unsafe_get t 0) golden_gamma in
-    Bigarray.Array1.unsafe_set t 0 s;
-    let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-    let bits = Int64.to_int (Int64.shift_right_logical z 11) in
-    1.0 -. pct +. (float_of_int bits *. scale_53 *. (2.0 *. pct))
-  end
 
 let exponential t ~mean =
   let u = float t 1.0 in

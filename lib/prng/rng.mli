@@ -34,10 +34,14 @@ val float : t -> float -> float
 val bool : t -> bool
 (** Fair coin. *)
 
-val jitter : t -> float -> float
-(** [jitter t pct] is a multiplicative noise factor uniform in
-    [\[1 -. pct, 1 +. pct\]]; used to perturb per-operation costs so that
-    different seeds explore different event interleavings. *)
+val bits53 : t -> int
+(** 53 uniform random bits, in [\[0, 2^53)]: the draw behind [float], so
+    [float_of_int (bits53 t) *. scale_53 *. bound] equals [float t bound]
+    on the same stream. The machine layer builds its per-operation
+    jitter factor from it without boxing a float. *)
+
+val scale_53 : float
+(** [2^-53], the scale that maps {!bits53} onto [\[0, 1)]. *)
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean; used by the

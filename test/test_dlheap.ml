@@ -126,6 +126,39 @@ let test_mmap_threshold () =
       Alcotest.(check bool) "munmapped on free" true (As.munmap_calls (M.proc_vm p) > mmaps);
       check_valid heap)
 
+let test_live_chunks_counts_mmapped () =
+  with_heap (fun heap _ ctx _ ->
+      let big = alloc heap ctx (Dlheap.default_params.Dlheap.mmap_threshold + 100) in
+      Alcotest.(check int) "one direct-mmapped chunk" 1 (Dlheap.live_chunks heap);
+      Dlheap.free heap ctx big;
+      Alcotest.(check int) "none after free" 0 (Dlheap.live_chunks heap))
+
+(* Chunk metadata is kept per 16-byte slot, and a chunk may start at
+   either half of one; addresses 8 bytes off a live chunk (sharing its
+   slot, or the previous chunk's) and addresses inside a chunk are
+   nobody's. *)
+let test_off_chunk_addresses_rejected () =
+  with_heap (fun heap _ ctx _ ->
+      (* 24-byte chunks: a starts a slot, b starts 8 bytes into one *)
+      let a = alloc heap ctx 16 in
+      let b = alloc heap ctx 16 in
+      let c = alloc heap ctx 200 in
+      let _pin = alloc heap ctx 16 in
+      List.iter
+        (fun user ->
+          Alcotest.check_raises "free"
+            (Invalid_argument "Dlheap.free: address not owned by this heap") (fun () ->
+              Dlheap.free heap ctx user);
+          Alcotest.check_raises "usable_size" (Invalid_argument "Dlheap.usable_size: unknown address")
+            (fun () -> ignore (Dlheap.usable_size heap user)))
+        [ a + 8; b - 8; b + 8; c + 8; c + 16; c + 104; c + 4 ];
+      check_valid heap;
+      Alcotest.(check int) "a untouched" 16 (Dlheap.usable_size heap a);
+      Alcotest.(check int) "b untouched" 16 (Dlheap.usable_size heap b);
+      Dlheap.free heap ctx b;
+      Alcotest.(check int) "one freed, three live" 3 (Dlheap.live_chunks heap);
+      check_valid heap)
+
 let test_sbrk_blocked_falls_back_to_mmap () =
   (* Squeeze the brk zone so growth hits the ceiling immediately. *)
   let vm =
@@ -246,6 +279,88 @@ let prop_random_ops =
           if Dlheap.live_chunks heap <> 0 then result := false);
       !result)
 
+(* Property: random malloc/free/mallopt programs, on the main heap and
+   on a sub-heap, keep every invariant, and the page walk accounts for
+   the whole segment — allocated plus binned free plus top bytes are
+   exactly its extent, and the live count (fastbin-parked chunks
+   included, as they stay marked in use) matches the model. *)
+type heap_op = Op_malloc of int | Op_free of int | Op_mallopt of (Dlheap.params -> Dlheap.params)
+
+let heap_op_gen =
+  QCheck.Gen.(
+    let size = oneof [ int_range 1 500; int_range 1 3000; int_range 3000 40000 ] in
+    let tune =
+      oneofl
+        [ ("mmap_threshold=4096", fun p -> { p with Dlheap.mmap_threshold = 4096 });
+          ("mmap_threshold=default", fun p -> { p with Dlheap.mmap_threshold = 32 * 4096 });
+          ("trim_threshold=0", fun p -> { p with Dlheap.trim_threshold = 0 });
+          ("trim_threshold=16K", fun p -> { p with Dlheap.trim_threshold = 16 * 1024 });
+          ("top_pad=0", fun p -> { p with Dlheap.top_pad = 0 });
+          ("top_pad=64K", fun p -> { p with Dlheap.top_pad = 64 * 1024 });
+          ("fastbins on", fun p -> { p with Dlheap.use_fastbins = true });
+          ("fastbins off", fun p -> { p with Dlheap.use_fastbins = false });
+        ]
+    in
+    frequency
+      [ (6, map (fun n -> (Printf.sprintf "malloc %d" n, Op_malloc n)) size);
+        (5, map (fun i -> (Printf.sprintf "free #%d" i, Op_free i)) (int_bound 1000));
+        (1, map (fun (name, f) -> ("mallopt " ^ name, Op_mallopt f)) tune);
+      ])
+
+let prop_segment_accounting =
+  let gen =
+    QCheck.make
+      ~print:(fun (sub, ops) ->
+        (if sub then "sub: " else "main: ") ^ String.concat "; " (List.map fst ops))
+      QCheck.Gen.(pair bool (list_size (int_range 1 150) heap_op_gen))
+  in
+  QCheck.Test.make ~name:"random malloc/free/mallopt programs account for the segment" ~count:80
+    gen (fun (sub, ops) ->
+      let fail = ref None in
+      let check cond msg = if !fail = None && not cond then fail := Some msg in
+      let m = M.create ~seed:1 config in
+      let p = M.create_proc m () in
+      let stats = Core.Astats.create () in
+      let params = { Dlheap.default_params with Dlheap.sub_heap_bytes = 256 * 1024 } in
+      ignore
+        (M.spawn p (fun ctx ->
+             let heap =
+               if sub then Option.get (Dlheap.create_sub ctx ~costs:Core.Costs.glibc ~params ~stats)
+               else Dlheap.create_main p ~costs:Core.Costs.glibc ~params ~stats
+             in
+             let live = ref [] in
+             let audit () =
+               (match Dlheap.validate heap with Ok () -> () | Error msg -> check false msg);
+               let base, stop = Dlheap.segment_bounds heap in
+               check
+                 (Dlheap.used_bytes heap + Dlheap.free_bytes heap + Dlheap.top_bytes heap = stop - base)
+                 "used + free + top <> segment extent";
+               check
+                 (Dlheap.live_chunks heap = List.length !live + Dlheap.fastbin_chunks heap)
+                 "live_chunks disagrees with the model"
+             in
+             List.iter
+               (fun (_, op) ->
+                 (match op with
+                 | Op_malloc n -> (
+                     match Dlheap.malloc heap ctx n with
+                     | Some u -> live := u :: !live
+                     | None -> check sub "main heap refused a request")
+                 | Op_free i ->
+                     if !live <> [] then begin
+                       let u = List.nth !live (i mod List.length !live) in
+                       live := List.filter (fun v -> v <> u) !live;
+                       Dlheap.free heap ctx u
+                     end
+                 | Op_mallopt f -> Dlheap.set_params heap (f (Dlheap.params heap)));
+                 audit ())
+               ops;
+             List.iter (fun u -> Dlheap.free heap ctx u) !live;
+             live := [];
+             audit ()));
+      M.run m;
+      match !fail with Some msg -> QCheck.Test.fail_reportf "%s" msg | None -> true)
+
 let prop_usable_size_covers_request =
   QCheck.Test.make ~name:"usable_size >= request, bounded overhead" ~count:60
     QCheck.(int_range 1 200_000)
@@ -325,6 +440,8 @@ let suite =
     Alcotest.test_case "top growth uses sbrk" `Quick test_top_growth_uses_sbrk;
     Alcotest.test_case "trim returns memory" `Quick test_trim_returns_memory;
     Alcotest.test_case "mmap threshold" `Quick test_mmap_threshold;
+    Alcotest.test_case "live_chunks counts direct-mmapped" `Quick test_live_chunks_counts_mmapped;
+    Alcotest.test_case "off-chunk addresses rejected" `Quick test_off_chunk_addresses_rejected;
     Alcotest.test_case "sbrk blocked -> mmap fallback" `Quick test_sbrk_blocked_falls_back_to_mmap;
     Alcotest.test_case "sub heap bounded" `Quick test_sub_heap_bounded;
     Alcotest.test_case "giant coalesced chunk binned" `Quick test_giant_coalesced_chunk_binned;
@@ -332,4 +449,5 @@ let suite =
     Alcotest.test_case "segment bounds" `Quick test_segment_bounds;
     QCheck_alcotest.to_alcotest prop_random_ops;
     QCheck_alcotest.to_alcotest prop_usable_size_covers_request;
+    QCheck_alcotest.to_alcotest prop_segment_accounting;
   ]

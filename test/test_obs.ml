@@ -62,6 +62,28 @@ let test_collect_sorts_and_skips_disabled () =
   let labels = List.map fst (Obs.Collect.drain ()) in
   Alcotest.(check (list string)) "drain sorted by label" [ "a-run"; "b-run" ] labels
 
+(* Runs sharing a label drain in one order whatever order they were
+   published in — at pool width 2 that order is completion order. *)
+let test_collect_ties_width_independent () =
+  with_mode { Obs.Ctl.trace = false; metrics = true } @@ fun () ->
+  let run label n =
+    let r = R.create ~metrics:true () in
+    R.add r "alloc.calls" n;
+    (label, r)
+  in
+  let runs = [ run "w=2" 5; run "w=2" 3; run "a" 9; run "w=2" 4; run "a" 1 ] in
+  let drained order =
+    List.iter (fun (label, r) -> Obs.Collect.publish ~label r) order;
+    List.map (fun (label, r) -> (label, R.counter r "alloc.calls")) (Obs.Collect.drain ())
+  in
+  let expected = [ ("a", 1); ("a", 9); ("w=2", 3); ("w=2", 4); ("w=2", 5) ] in
+  let rng = Core.Rng.create ~seed:11 in
+  for _ = 1 to 20 do
+    let order = Array.of_list runs in
+    Core.Rng.shuffle rng order;
+    Alcotest.(check (list (pair string int))) "same drain" expected (drained (Array.to_list order))
+  done
+
 (* --- hand-computed counters -------------------------------------------- *)
 
 (* One worker hammering the serial allocator: every malloc and every free
@@ -328,6 +350,8 @@ let suite =
   [ Alcotest.test_case "null recorder records nothing" `Quick test_null_records_nothing;
     Alcotest.test_case "counter arithmetic" `Quick test_counter_arithmetic;
     Alcotest.test_case "collect sorts, skips disabled" `Quick test_collect_sorts_and_skips_disabled;
+    Alcotest.test_case "collect ties drain width-independently" `Quick
+      test_collect_ties_width_independent;
     Alcotest.test_case "serial bench1 counters by hand" `Quick test_serial_bench1_counters;
     Alcotest.test_case "contended split partitions acquisitions" `Quick
       test_contended_run_splits_acquisitions;

@@ -49,16 +49,39 @@ let test_float_bounds () =
     Alcotest.(check bool) "in [0, 2.5)" true (v >= 0. && v < 2.5)
   done
 
+(* The machine's per-operation jitter factor, [1 -. pct +. u *. 2 pct],
+   is built from [bits53]; the draw must be the one [float] scales and
+   keep the factor within +/-pct. *)
 let test_jitter_range () =
-  let r = Rng.create ~seed:4 in
+  let r = Rng.create ~seed:4 and r' = Rng.create ~seed:4 in
   for _ = 1 to 1000 do
-    let v = Rng.jitter r 0.05 in
+    let bits = Rng.bits53 r in
+    Alcotest.(check bool) "53 bits" true (bits >= 0 && bits < 1 lsl 53);
+    Alcotest.(check (float 0.)) "same draw as float" (Rng.float r' 2.5)
+      (float_of_int bits *. Rng.scale_53 *. 2.5);
+    let v = 1.0 -. 0.05 +. (float_of_int bits *. Rng.scale_53 *. (2.0 *. 0.05)) in
     Alcotest.(check bool) "within +/-5%" true (v >= 0.95 && v <= 1.05)
   done
 
+(* With [op_jitter = 0.] a work item takes exactly its cycle count and
+   draws nothing from the thread's stream. *)
 let test_jitter_zero () =
-  let r = Rng.create ~seed:4 in
-  Alcotest.(check (float 0.)) "no jitter" 1.0 (Rng.jitter r 0.)
+  let module M = Core.Machine in
+  let after ~work =
+    let m = M.create ~seed:4 { M.default_config with M.cpus = 1; op_jitter = 0. } in
+    let p = M.create_proc m () in
+    let out = ref (0., 0L) in
+    ignore
+      (M.spawn p (fun ctx ->
+           let t0 = M.now ctx in
+           if work then M.work ctx 1000;
+           out := (M.now ctx -. t0, Rng.bits64 (M.ctx_rng ctx))));
+    M.run m;
+    !out
+  in
+  let dt, drawn = after ~work:true in
+  Alcotest.(check (float 0.)) "no jitter" (1000. *. 1000. /. M.default_config.M.mhz) dt;
+  Alcotest.(check int64) "no draw" (snd (after ~work:false)) drawn
 
 let test_exponential_mean () =
   let r = Rng.create ~seed:5 in
