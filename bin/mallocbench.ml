@@ -5,8 +5,8 @@
      bench2      the heap-leak / minor-fault microbenchmark
      bench3      the false-sharing microbenchmark
      server      the network-server workload
-     experiment  regenerate a paper table/figure (or all of them)
-     suite       run a declarative benchmark suite, append a session
+     experiment  regenerate a paper table/figure (or all of them),
+                 optionally recording a session in the history file
      report      cross-session trend tables from the history file
      gate        trend-aware regression gate over the history file
      list        enumerate machines, allocators and experiments *)
@@ -451,32 +451,71 @@ let server_cmd =
           $ arrivals $ model $ queue $ churn $ mix $ trace_arg $ metrics_arg $ gc_stats_arg
           $ check_arg $ faults_arg)
 
-(* --- experiment --------------------------------------------------------- *)
+(* --- experiment ----------------------------------------------------------- *)
+
+let die fmt = Printf.ksprintf (fun s -> prerr_endline s; Stdlib.exit 2) fmt
+
+(* Meter the registry run's experiments into a session, print its
+   trailer and append it to [path]. *)
+let record_session path ~ids ~time_s ~wall_s (opts : Core.Exp_common.opts) outcomes =
+  let module History = Core.Suite.History in
+  let id = History.generate_id () in
+  let cells = Core.Experiments.meter opts outcomes in
+  let suite = match ids with [] -> "registry" | ids -> String.concat "," ids in
+  let mode = if opts.Core.Exp_common.quick then "quick" else "full" in
+  let seed = opts.Core.Exp_common.seed in
+  let host = History.current_host ~domains:(Core.Pool.default_jobs ()) in
+  Printf.printf "== session %s ==\n" id;
+  Printf.printf "suite %s (%s, seed %d, wall %.2f s) on %s\n" suite mode seed wall_s
+    (History.host_to_string host);
+  List.iter
+    (fun (key, (d : History.cell_data)) ->
+      Printf.printf "%-44s %12.0f ns/run %14.0f minor w/run  %s\n" key d.History.ns_per_run
+        d.History.minor_words_per_run
+        (if d.History.ok then "ok" else "FAIL"))
+    cells;
+  match
+    History.append path { History.id; time_s; suite; mode; seed; host; wall_s = Some wall_s; cells }
+  with
+  | Ok h -> Printf.printf "history: %s now holds %d session(s)\n" path (List.length h.History.sessions)
+  | Error e -> die "%s" e
 
 let experiment_cmd =
-  let run ids quick seed csv_dir jobs trace metrics gc_stats check faults =
-    let opts = { Core.Exp_common.quick; seed } in
-    let only = match ids with [] -> None | ids -> Some ids in
-    let outcomes =
-      with_observation ~trace ~metrics ~gc_stats ~check ~faults (fun () ->
-          Core.Experiments.run_all ?jobs ?only opts)
-    in
-    (match csv_dir with
-    | None -> ()
-    | Some dir ->
-        List.iter
-          (fun (o : Core.Outcome.t) ->
-            if o.Core.Outcome.series <> [] then
-              Core.Csv.write_file
-                (Filename.concat dir (o.Core.Outcome.id ^ ".csv"))
-                (Core.Csv.of_series o.Core.Outcome.series))
-          outcomes);
-    print_endline "== summary ==";
-    List.iter (fun o -> print_endline (Core.Outcome.summary_line o)) outcomes;
-    (* Under an armed fault plan the paper's pass thresholds no longer
-       apply — the run is judged on completing gracefully (exit 0), not
-       on matching fault-free reference numbers. *)
-    if faults = None && not (List.for_all Core.Outcome.passed outcomes) then Stdlib.exit 1
+  let run ids quick seed csv_dir jobs trace metrics gc_stats check faults history =
+    if history <> None && (trace <> None || metrics || check || faults <> None) then
+      `Error
+        (true, "--history meters plain runs; it cannot be combined with --trace, --metrics, \
+                --check or --faults")
+    else begin
+      let opts = { Core.Exp_common.quick; seed } in
+      let only = match ids with [] -> None | ids -> Some ids in
+      let time_s = Unix.gettimeofday () in
+      match
+        with_observation ~trace ~metrics ~gc_stats ~check ~faults (fun () ->
+            Core.Experiments.run_all ?jobs ?only opts)
+      with
+      | exception Invalid_argument msg -> `Error (true, msg)
+      | outcomes ->
+          let wall_s = Unix.gettimeofday () -. time_s in
+          (match csv_dir with
+          | None -> ()
+          | Some dir ->
+              List.iter
+                (fun (o : Core.Outcome.t) ->
+                  if o.Core.Outcome.series <> [] then
+                    Core.Csv.write_file
+                      (Filename.concat dir (o.Core.Outcome.id ^ ".csv"))
+                      (Core.Csv.of_series o.Core.Outcome.series))
+                outcomes);
+          print_endline "== summary ==";
+          List.iter (fun o -> print_endline (Core.Outcome.summary_line o)) outcomes;
+          Option.iter (fun path -> record_session path ~ids ~time_s ~wall_s opts outcomes) history;
+          (* Under an armed fault plan the paper's pass thresholds no longer
+             apply — the run is judged on completing gracefully (exit 0), not
+             on matching fault-free reference numbers. *)
+          if faults = None && not (List.for_all Core.Outcome.passed outcomes) then Stdlib.exit 1;
+          `Ok ()
+    end
   in
   let ids =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (default: all).")
@@ -485,86 +524,30 @@ let experiment_cmd =
   let csv_dir =
     Arg.(value & opt (some dir) None & info [ "csv" ] ~docv:"DIR" ~doc:"Also write series as CSV files.")
   in
+  let history =
+    Arg.(value & opt (some string) None
+         & info [ "history" ] ~docv:"FILE"
+             ~doc:"After the run, meter each selected experiment in turn (a metrics-armed \
+                   warm-up run for the headline counters, then five timed runs whose \
+                   medians are recorded), print a \
+                   $(b,== session) trailer and append the session to $(docv). Cannot be \
+                   combined with $(b,--trace), $(b,--metrics), $(b,--check) or \
+                   $(b,--faults).")
+  in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate a paper table or figure")
-    Term.(const run $ ids $ quick $ seed_arg $ csv_dir $ jobs_arg $ trace_arg $ metrics_arg $ gc_stats_arg
-          $ check_arg $ faults_arg)
+    Term.(ret
+            (const run $ ids $ quick $ seed_arg $ csv_dir $ jobs_arg $ trace_arg $ metrics_arg
+             $ gc_stats_arg $ check_arg $ faults_arg $ history))
 
-(* --- suite / report / gate ----------------------------------------------- *)
+(* --- report / gate --------------------------------------------------------- *)
 
 let history_arg =
   Arg.(value & opt string "BENCH_history.json"
-       & info [ "history" ] ~docv:"FILE"
-           ~doc:"Session history file. $(b,suite) appends to it; $(b,report) and \
-                 $(b,gate) read it.")
-
-let die fmt = Printf.ksprintf (fun s -> prerr_endline s; Stdlib.exit 2) fmt
+       & info [ "history" ] ~docv:"FILE" ~doc:"Session history file to read.")
 
 let load_history path =
   match Core.Suite.History.load path with Ok h -> h | Error e -> die "%s" e
-
-let suite_cmd =
-  let run file history jobs dry_run no_history =
-    let module Spec = Core.Suite.Spec in
-    let module History = Core.Suite.History in
-    let text =
-      try In_channel.with_open_text file In_channel.input_all
-      with Sys_error e -> die "suite: %s" e
-    in
-    let spec = match Spec.of_string text with Ok s -> s | Error e -> die "suite %s: %s" file e in
-    let registry = Core.Experiments.suite_registry in
-    if dry_run then begin
-      match Spec.expand spec ~exp_ids:registry.Core.Suite.Runner.exp_ids with
-      | Error e -> die "%s" e
-      | Ok cells ->
-          List.iter (fun (c : Spec.cell) -> print_endline c.Spec.key) cells;
-          Printf.printf "%d cell(s)\n" (List.length cells)
-    end
-    else begin
-      let id = History.generate_id () in
-      let time_s = Unix.gettimeofday () in
-      match Core.Suite.Runner.run ?jobs ~registry spec with
-      | Error e -> die "%s" e
-      | Ok data ->
-          let mode = match spec.Spec.mode with `Quick -> "quick" | `Full -> "full" in
-          let host = History.current_host () in
-          let cells = List.map (fun ((c : Spec.cell), d) -> (c.Spec.key, d)) data in
-          Printf.printf "== session %s ==\n" id;
-          Printf.printf "suite %s (%s, seed %d) on %s\n" spec.Spec.name mode spec.Spec.seed
-            (History.host_to_string host);
-          List.iter
-            (fun (key, (d : History.cell_data)) ->
-              Printf.printf "%-44s %12.0f ns/run %14.0f minor w/run  %s\n" key
-                d.History.ns_per_run d.History.minor_words_per_run
-                (if d.History.ok then "ok" else "FAIL"))
-            cells;
-          let session =
-            { History.id; time_s; suite = spec.Spec.name; mode; seed = spec.Spec.seed; host; cells }
-          in
-          if not no_history then begin
-            match History.append history session with
-            | Ok h ->
-                Printf.printf "history: %s now holds %d session(s)\n" history
-                  (List.length h.History.sessions)
-            | Error e -> die "history: %s" e
-          end;
-          if List.exists (fun (_, (d : History.cell_data)) -> not d.History.ok) cells then
-            Stdlib.exit 1
-    end
-  in
-  let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"SUITE" ~doc:"Suite spec file.")
-  in
-  let dry_run =
-    Arg.(value & flag
-         & info [ "dry-run" ] ~doc:"Print the expanded cell keys and exit without running.")
-  in
-  let no_history =
-    Arg.(value & flag & info [ "no-history" ] ~doc:"Run and print, but do not touch the history file.")
-  in
-  Cmd.v
-    (Cmd.info "suite" ~doc:"Run a declarative benchmark suite and record a session")
-    Term.(const run $ file $ history_arg $ jobs_arg $ dry_run $ no_history)
 
 let report_cmd =
   let run history last csv =
@@ -637,7 +620,7 @@ let main =
   let doc = "simulated reproduction of 'malloc() Performance in a Multithreaded Linux Environment'" in
   Cmd.group
     (Cmd.info "mallocbench" ~version:"1.0.0" ~doc)
-    [ bench1_cmd; bench2_cmd; bench3_cmd; server_cmd; experiment_cmd; suite_cmd; report_cmd;
-      gate_cmd; list_cmd ]
+    [ bench1_cmd; bench2_cmd; bench3_cmd; server_cmd; experiment_cmd; report_cmd; gate_cmd;
+      list_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -47,8 +47,8 @@ module Latency = Mb_workload.Latency
 module Trace = Mb_workload.Trace
 module Larson = Mb_workload.Larson
 
-(* The suite layer: declarative benchmark suites, session history and
-   the trend-aware regression gate. *)
+(* The session history, its trend report and the trend-aware regression
+   gate. *)
 module Suite = Mb_suite
 
 (* Observability. *)

@@ -42,26 +42,6 @@ let find id = List.assoc_opt id all
 
 let ids = List.map fst all
 
-(* The suite layer (lib/suite) sits below this library, so it sees the
-   registry only through this adapter record: ids in registry order plus
-   a quiet per-id runner whose result carries its own printer. A suite
-   cell printed through [print] is byte-identical to [run_all]'s echo of
-   the same experiment. *)
-let suite_registry =
-  { Mb_suite.Runner.exp_ids = ids;
-    exp_run =
-      (fun id ~quick ~seed ->
-        match find id with
-        | None -> None
-        | Some runner ->
-            Some
-              (fun () ->
-                let outcome = runner { Exp_common.quick; seed } in
-                { Mb_suite.Runner.print = (fun () -> Outcome.print outcome);
-                  ok = Outcome.passed outcome;
-                }));
-  }
-
 (* Every experiment is an independent deterministic computation, so the
    registry fans out across a domain pool. Futures are joined — and
    outcomes printed — in registry order from the calling domain, which
@@ -71,7 +51,10 @@ let run_all ?jobs ?(echo = true) ?only opts =
   let selected =
     match only with
     | None -> all
-    | Some wanted -> List.filter (fun (id, _) -> List.mem id wanted) all
+    | Some wanted -> (
+        match List.find_opt (fun id -> not (List.mem_assoc id all)) wanted with
+        | Some id -> invalid_arg (Printf.sprintf "Experiments.run_all: unknown experiment id %S" id)
+        | None -> List.filter (fun (id, _) -> List.mem id wanted) all)
   in
   let run pool =
     let futures =
@@ -89,3 +72,75 @@ let run_all ?jobs ?(echo = true) ?only opts =
   match jobs with
   | Some jobs -> Mb_parallel.Pool.with_pool ~jobs run
   | None -> run (Mb_parallel.Pool.global ())
+
+(* --- session metering ---------------------------------------------------- *)
+
+let headline_counters =
+  [ "alloc.mallocs";
+    "alloc.lock.acquired";
+    "alloc.lock.contended";
+    "alloc.arena.created";
+    "alloc.free.foreign";
+    "cache.invalidations";
+    "sched.ctx_switches";
+    "vm.sbrk_calls";
+    "vm.mmap_calls"
+  ]
+
+(* Timed runs per cell; a cell records their median. *)
+let timed_runs = 5
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* One experiment at a time, after the registry run: a cell's host time
+   must not include another experiment competing for the cores or the
+   GC. The timed runs go in rounds over all the experiments, so a spell
+   of host load that outlasts one experiment's runs spreads over
+   several cells' samples instead of slowing every sample of one. *)
+let meter opts outcomes =
+  let runs =
+    List.map
+      (fun (o : Outcome.t) ->
+        match find o.Outcome.id with
+        | Some runner -> (o, fun () -> ignore (runner opts))
+        | None -> invalid_arg (Printf.sprintf "Experiments.meter: unknown experiment id %S" o.Outcome.id))
+      outcomes
+  in
+  (* The metrics-armed run comes first and doubles as the warm-up:
+     first-run table growth is not steady state. *)
+  let totals =
+    List.map
+      (fun (_, run) ->
+        Mb_obs.Ctl.set { Mb_obs.Ctl.trace = false; metrics = true };
+        Fun.protect
+          ~finally:(fun () -> Mb_obs.Ctl.set Mb_obs.Ctl.off)
+          (fun () ->
+            run ();
+            Mb_obs.Recorder.totals (Mb_obs.Collect.drain ())))
+      runs
+  in
+  let samples = Array.make (List.length runs) [] in
+  for _ = 1 to timed_runs do
+    List.iteri
+      (fun i (_, run) ->
+        let t0 = Unix.gettimeofday () in
+        let w0 = Gc.minor_words () in
+        run ();
+        let w1 = Gc.minor_words () in
+        let t1 = Unix.gettimeofday () in
+        samples.(i) <- ((t1 -. t0) *. 1e9, w1 -. w0) :: samples.(i))
+      runs
+  done;
+  List.map2
+    (fun ((o : Outcome.t), _) (timed, totals) ->
+      ( "exp:" ^ o.Outcome.id,
+        { Mb_suite.History.ok = Outcome.passed o;
+          ns_per_run = median (List.map fst timed);
+          minor_words_per_run = median (List.map snd timed);
+          counters = List.filter (fun (k, _) -> List.mem k headline_counters) totals;
+        } ))
+    runs
+    (List.combine (Array.to_list samples) totals)

@@ -41,15 +41,22 @@ let check ?(last = 5) ?(threshold = 1.25) ?(gc_threshold = 1.25) ?scale_first
             warnings := s :: !warnings)
           fmt
       in
-      let earlier = List.rev earlier_rev in
-      let same_host = List.filter (fun s -> s.History.host = fresh.History.host) earlier in
-      (match List.filter (fun s -> s.History.host <> fresh.History.host) earlier with
-      | [] -> ()
-      | others ->
-          warn "gate: note: ignoring %d session(s) from other hosts (fresh host %s)"
-            (List.length others)
-            (History.host_to_string fresh.History.host));
-      let baselines = last_n last same_host in
+      (* ns/run and minor words are only comparable between sessions
+         that ran the same program on the same host and pool width: a
+         quick session allocates about a tenth of a full one. *)
+      let comparable s =
+        s.History.host = fresh.History.host
+        && s.History.mode = fresh.History.mode
+        && s.History.seed = fresh.History.seed
+      in
+      let matching, others = List.partition comparable (List.rev earlier_rev) in
+      if others <> [] then
+        warn
+          "gate: note: ignoring %d session(s) from other hosts, modes or seeds (fresh: %s, \
+           seed %d, host %s)"
+          (List.length others) fresh.History.mode fresh.History.seed
+          (History.host_to_string fresh.History.host);
+      let baselines = last_n last matching in
       say "gate: fresh session %s (%s, %d cells) vs %d baseline session(s) on %s"
         fresh.History.id fresh.History.suite
         (List.length fresh.History.cells)
@@ -57,8 +64,8 @@ let check ?(last = 5) ?(threshold = 1.25) ?(gc_threshold = 1.25) ?scale_first
         (History.host_to_string fresh.History.host);
       if baselines = [] then begin
         warn
-          "gate: WARNING: no earlier session on this host — nothing to gate against, \
-           this session seeds the baseline";
+          "gate: WARNING: no earlier session on this host in this mode and seed — \
+           nothing to gate against, this session seeds the baseline";
         say "gate: OK (vacuous)";
         Ok
           { lines = List.rev !lines;
@@ -100,9 +107,8 @@ let check ?(last = 5) ?(threshold = 1.25) ?(gc_threshold = 1.25) ?scale_first
             fresh.History.cells
         in
         (* A cell every baseline session recorded but the fresh one
-           dropped: suite specs do change deliberately, so this warns
-           rather than fails — unlike compare.exe, whose two files are
-           supposed to describe the same kernel set. *)
+           dropped: the registry does change deliberately, so this
+           warns rather than fails. *)
         let dropped =
           match baselines with
           | [] -> []

@@ -1,11 +1,12 @@
-(** The trend-aware CI regression gate: {!Compare} generalized from a
-    file pair to the session history.
+(** The trend-aware CI regression gate over the session history.
 
     The fresh session (the newest in the history) is compared against
     a baseline built from the last [n] earlier sessions recorded {e on
-    the same host} (equal {!History.host} blocks — wall-clock numbers
-    from another machine are not a baseline). Each cell's baseline
-    value is the median over those sessions, which rides out one noisy
+    the same host, in the same mode and with the same seed} (equal
+    {!History.host} blocks — wall-clock numbers from another machine
+    or pool width are not a baseline, and a quick run is not a full
+    one). Each
+    cell's baseline value is the median over those sessions, which rides out one noisy
     CI run; the per-cell ratios fresh/baseline are then normalized by
     their median across cells to cancel whatever uniform speed factor
     this particular run carried (a cold file cache, a busy neighbour).
@@ -15,7 +16,7 @@
     (GC words are host-independent, so no normalization applies).
     Cells only present in the fresh session warn (new benchmarks land
     before their baseline does), as do cells that every baseline
-    session had but the fresh one dropped. With no same-host earlier
+    session had but the fresh one dropped. With no comparable earlier
     session there is nothing to gate against: the verdict passes with
     a warning, which is what lets the first session on a new CI image
     seed its own baseline. *)

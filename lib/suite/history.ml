@@ -7,7 +7,6 @@ type cell_data = {
   ns_per_run : float;
   minor_words_per_run : float;
   counters : (string * int) list;
-  percentiles : (string * float) list;
 }
 
 type session = {
@@ -17,6 +16,7 @@ type session = {
   mode : string;
   seed : int;
   host : host;
+  wall_s : float option;
   cells : (string * cell_data) list;
 }
 
@@ -43,11 +43,8 @@ let host_cpu_model () =
   | Some model -> model
   | None | (exception Sys_error _) -> "unknown"
 
-let current_host () =
-  { cores = Domain.recommended_domain_count ();
-    cpu_model = host_cpu_model ();
-    domains = 1;
-  }
+let current_host ~domains =
+  { cores = Domain.recommended_domain_count (); cpu_model = host_cpu_model (); domains }
 
 let host_to_string h =
   Printf.sprintf "{cores %d, domains %d, \"%s\"}" h.cores h.domains h.cpu_model
@@ -67,19 +64,19 @@ let json_of_cell c =
       ("ns_per_run", Json.Num c.ns_per_run);
       ("minor_words_per_run", Json.Num c.minor_words_per_run);
       ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) c.counters));
-      ("percentiles", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) c.percentiles));
     ]
 
 let json_of_session s =
   Json.Obj
-    [ ("id", Json.Str s.id);
-      ("time_s", Json.Num s.time_s);
-      ("suite", Json.Str s.suite);
-      ("mode", Json.Str s.mode);
-      ("seed", Json.Num (float_of_int s.seed));
-      ("host", json_of_host s.host);
-      ("cells", Json.Obj (List.map (fun (k, c) -> (k, json_of_cell c)) s.cells));
-    ]
+    ([ ("id", Json.Str s.id);
+       ("time_s", Json.Num s.time_s);
+       ("suite", Json.Str s.suite);
+       ("mode", Json.Str s.mode);
+       ("seed", Json.Num (float_of_int s.seed));
+       ("host", json_of_host s.host);
+     ]
+    @ (match s.wall_s with Some w -> [ ("wall_s", Json.Num w) ] | None -> [])
+    @ [ ("cells", Json.Obj (List.map (fun (k, c) -> (k, json_of_cell c)) s.cells)) ])
 
 let json_of_t t =
   Json.Obj
@@ -126,12 +123,7 @@ let cell_of_json key j =
     | Some c -> assoc_of_json what Json.to_int c
     | None -> Ok []
   in
-  let* percentiles =
-    match Json.member "percentiles" j with
-    | Some p -> assoc_of_json what Json.to_float p
-    | None -> Ok []
-  in
-  Ok { ok; ns_per_run; minor_words_per_run; counters; percentiles }
+  Ok { ok; ns_per_run; minor_words_per_run; counters }
 
 let session_of_json j =
   let* id = field "session" "id" Json.to_str j in
@@ -145,6 +137,15 @@ let session_of_json j =
     | Some h -> host_of_json h
     | None -> Error (Printf.sprintf "history: %s: missing host block" what)
   in
+  (* optional: sessions recorded before the field existed lack it *)
+  let* wall_s =
+    match Json.member "wall_s" j with
+    | None -> Ok None
+    | Some w -> (
+        match Json.to_float w with
+        | Some w -> Ok (Some w)
+        | None -> Error (Printf.sprintf "history: %s: malformed \"wall_s\"" what))
+  in
   let* cells =
     match Json.member "cells" j with
     | Some (Json.Obj fields) ->
@@ -157,7 +158,7 @@ let session_of_json j =
         |> Result.map List.rev
     | _ -> Error (Printf.sprintf "history: %s: missing cells object" what)
   in
-  Ok { id; time_s; suite; mode; seed; host; cells }
+  Ok { id; time_s; suite; mode; seed; host; wall_s; cells }
 
 let of_json j =
   let* file_schema = field "history" "schema" Json.to_int j in
@@ -207,10 +208,6 @@ let append path session =
   Ok t
 
 let generate_id () =
-  match Sys.getenv_opt "MALLOC_REPRO_SESSION_ID" with
-  | Some id when id <> "" -> id
-  | _ ->
-      let tm = Unix.gmtime (Unix.gettimeofday ()) in
-      Printf.sprintf "%04d%02d%02d-%02d%02d%02d-%d" (tm.Unix.tm_year + 1900)
-        (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-        (Unix.getpid ())
+  let tm = Unix.gmtime (Unix.gettimeofday ()) in
+  Printf.sprintf "%04d%02d%02d-%02d%02d%02d-%d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
+    tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec (Unix.getpid ())

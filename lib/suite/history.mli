@@ -1,10 +1,11 @@
-(** The per-session result history: what turns the bench harness from a
-    one-shot tool into a continuous-benchmarking system.
+(** The per-session result history: what turns the experiment registry
+    from a one-shot tool into a continuous-benchmarking system.
 
-    Every suite run gets a session id; its per-cell results (host
-    ns/run, host GC minor words/run, selected simulation counters, and
-    the open-loop server's request percentiles) append to a JSON
-    history file together with a schema version and a host block. The
+    Every [mallocbench experiment --history FILE] run gets a session
+    id; its per-cell results (host ns/run, host GC minor words/run,
+    selected simulation counters) and the registry's wall clock append
+    to a JSON history file together with a schema version and a host
+    block. The
     {!Report} module renders cross-session trend tables from the file
     and the {!Gate} module fails CI when the newest session regresses
     against the recorded trend on the same host. *)
@@ -16,26 +17,23 @@ val schema : int
 type host = { cores : int; cpu_model : string; domains : int }
 (** Provenance of a session's wall-clock numbers. ns/run values are
     only comparable between sessions whose host blocks match — the
-    gate filters its baseline set on exactly this record. *)
+    gate filters its baseline set on this record, the mode and the
+    seed. *)
 
-val current_host : unit -> host
+val current_host : domains:int -> host
 (** Cores from [Domain.recommended_domain_count], the cpu model from
-    [/proc/cpuinfo] (["unknown"] where that fails), domains 1 (each
-    simulation runs on one domain; the field stays in the schema so
-    older history files still load). *)
+    [/proc/cpuinfo] (["unknown"] where that fails). [domains] is the
+    pool width the cells were metered at: experiments fan their repeat
+    seeds out over the global pool, so their ns/run depends on it. *)
 
 val host_to_string : host -> string
 (** One-line canonical rendering for reports and warnings. *)
 
 type cell_data = {
-  ok : bool;                          (** experiment checks passed (forced
-                                          true under an armed fault plan) *)
+  ok : bool;                          (** experiment checks passed *)
   ns_per_run : float;                 (** host wall clock per execution *)
   minor_words_per_run : float;        (** host GC pressure per execution *)
   counters : (string * int) list;     (** headline simulation counters *)
-  percentiles : (string * float) list;
-      (** open-loop server cells: [p50_ns]/[p95_ns]/[p99_ns]; empty
-          for other workloads *)
 }
 
 type session = {
@@ -45,7 +43,10 @@ type session = {
   mode : string;   (** ["quick"] or ["full"] *)
   seed : int;
   host : host;
-  cells : (string * cell_data) list;  (** keyed by {!Spec.cell}[.key], expansion order *)
+  wall_s : float option;
+      (** wall clock of the printed registry run; [None] in sessions
+          recorded before the field existed *)
+  cells : (string * cell_data) list;  (** keyed [exp:<id>], registry order *)
 }
 
 type t = { sessions : session list }
@@ -66,5 +67,4 @@ val append : string -> session -> (t, string) result
 val save : string -> t -> unit
 
 val generate_id : unit -> string
-(** [YYYYMMDD-HHMMSS-PID] (UTC), overridable for reproducible tests
-    with [MALLOC_REPRO_SESSION_ID]. *)
+(** [YYYYMMDD-HHMMSS-PID] (UTC). *)

@@ -1,7 +1,6 @@
-(** A minimal JSON value: just enough for the suite layer's artifacts.
+(** A minimal JSON value: just enough for the session history.
 
-    The history file, the bench harness's [BENCH_kernels.json] and the
-    gate reports are all plain JSON written by this repo, so the parser
+    The history file is plain JSON written by this repo, so the parser
     only has to be {e correct}, not lenient: it reads standard JSON
     (objects, arrays, strings with escapes, numbers, booleans, null)
     and rejects everything else with a character position. Object

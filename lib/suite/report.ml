@@ -47,10 +47,13 @@ let render ?(last = 8) (history : History.t) =
       (fun i s ->
         let tm = Unix.gmtime s.History.time_s in
         Buffer.add_string b
-          (Printf.sprintf "  %-4s %s  %04d-%02d-%02d %02d:%02d:%02d UTC  suite %s (%s, seed %d)  host %s\n"
+          (Printf.sprintf "  %-4s %s  %04d-%02d-%02d %02d:%02d:%02d UTC  suite %s (%s, seed %d)%s  host %s\n"
              (label i) s.History.id (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
              tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec s.History.suite
              s.History.mode s.History.seed
+             (match s.History.wall_s with
+             | Some w -> Printf.sprintf "  wall %.2f s" w
+             | None -> "")
              (History.host_to_string s.History.host)))
       sessions;
     Buffer.contents b
@@ -60,12 +63,7 @@ let to_csv ?(last = 8) (history : History.t) =
   let sessions = last_n last history.History.sessions in
   let header =
     [ "session"; "time_s"; "suite"; "host_cores"; "host_domains"; "cell"; "ok";
-      "ns_per_run"; "minor_words_per_run"; "p50_ns"; "p95_ns"; "p99_ns" ]
-  in
-  let pct c name =
-    match List.assoc_opt name c.History.percentiles with
-    | Some v -> Printf.sprintf "%.1f" v
-    | None -> ""
+      "ns_per_run"; "minor_words_per_run" ]
   in
   let rows =
     List.concat_map
@@ -81,9 +79,6 @@ let to_csv ?(last = 8) (history : History.t) =
               (if c.History.ok then "1" else "0");
               Printf.sprintf "%.1f" c.History.ns_per_run;
               Printf.sprintf "%.1f" c.History.minor_words_per_run;
-              pct c "p50_ns";
-              pct c "p95_ns";
-              pct c "p99_ns";
             ])
           s.History.cells)
       sessions

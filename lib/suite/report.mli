@@ -3,7 +3,7 @@
     The text report is two fixed-width tables — ns/run and GC minor
     words/run per cell, one column per session, oldest to newest, with
     a legend mapping the short column labels back to session ids,
-    suites and hosts. The CSV export is long-format (one row per
+    suites, registry wall clocks and hosts. The CSV export is long-format (one row per
     session x cell) so external tooling can pivot it however it
     likes. *)
 
@@ -12,5 +12,4 @@ val render : ?last:int -> History.t -> string
 
 val to_csv : ?last:int -> History.t -> string
 (** [session,time_s,suite,host_cores,host_domains,cell,ok,ns_per_run,
-    minor_words_per_run,p50_ns,p95_ns,p99_ns] — percentile fields are
-    empty for cells that don't record them. *)
+    minor_words_per_run], one row per session x cell. *)

@@ -1,14 +1,11 @@
-(* Tests for the suite layer: the declarative spec (parse/print
-   round-trip, line-numbered rejection, deterministic expansion), the
-   session history file, the trend-aware gate, and the runner. *)
+(* Tests for the session layer: the history file, the trend-aware
+   gate, the trend report, the registry's session metering and the
+   [experiment --history] command line. *)
 
-module Spec = Core.Suite.Spec
 module History = Core.Suite.History
 module Gate = Core.Suite.Gate
 module Report = Core.Suite.Report
-module Runner = Core.Suite.Runner
 module Json = Core.Suite.Json
-module Plan = Core.Fault.Plan
 
 (* Substring search, so the tests don't pull in Str. *)
 let contains hay needle =
@@ -16,180 +13,19 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-(* --- spec: parse/print round-trip ---------------------------------------- *)
-
-let spec_gen =
-  let open QCheck.Gen in
-  (* Distinct picks from a pool, in pool order — the parser rejects
-     duplicate axis entries, and order only matters within an axis. *)
-  let subset pool =
-    let* keep = list_repeat (List.length pool) bool in
-    let chosen = List.filteri (fun i _ -> List.nth keep i) pool in
-    return (if chosen = [] then [ List.hd pool ] else chosen)
-  in
-  let* name =
-    oneofl [ "ci"; "quick-registry"; "a.b-c_d"; "N1" ]
-  in
-  let* mode = oneofl [ `Quick; `Full ] in
-  let* seed = int_range 1 999 in
-  let* machines = subset Core.Configs.names in
-  let* allocators = subset Core.Factory.names in
-  let* workloads =
-    subset
-      [ Spec.Exp "fig8"; Spec.Exp_all; Spec.Bench1; Spec.Bench2; Spec.Bench3;
-        Spec.Server_open ]
-  in
-  let* faults =
-    subset
-      (None
-      :: List.map (fun (_, p) -> Some (p, 7)) Plan.all)
-  in
-  let* repeats = int_range 1 5 in
-  return { Spec.name; mode; seed; machines; allocators; workloads; faults; repeats }
-
-let prop_round_trip =
-  QCheck.Test.make ~name:"of_string (to_string t) = Ok t" ~count:200
-    (QCheck.make spec_gen)
-    (fun spec ->
-      match Spec.of_string (Spec.to_string spec) with
-      | Ok spec' when spec' = spec -> true
-      | Ok spec' ->
-          QCheck.Test.fail_reportf "round-trip drift:\n%s\nvs\n%s" (Spec.to_string spec)
-            (Spec.to_string spec')
-      | Error e -> QCheck.Test.fail_reportf "round-trip rejected:\n%s\n%s" (Spec.to_string spec) e)
-
-let test_parse_defaults () =
-  match Spec.of_string "suite s\nworkloads exp:*\n" with
-  | Error e -> Alcotest.failf "minimal spec rejected: %s" e
-  | Ok t ->
-      Alcotest.(check string) "name" "s" t.Spec.name;
-      Alcotest.(check bool) "quick" true (t.Spec.mode = `Quick);
-      Alcotest.(check int) "seed" 1 t.Spec.seed;
-      Alcotest.(check (list string)) "machines" [ "quad_xeon" ] t.Spec.machines;
-      Alcotest.(check (list string)) "allocators" [ "ptmalloc" ] t.Spec.allocators;
-      Alcotest.(check bool) "faults off" true (t.Spec.faults = [ None ]);
-      Alcotest.(check int) "repeats" 1 t.Spec.repeats
-
-let test_parse_comments_and_blanks () =
-  let text = "# header\n\nsuite s\n  # indented comment\nworkloads bench2\n\n" in
-  match Spec.of_string text with
-  | Ok t -> Alcotest.(check bool) "bench2" true (t.Spec.workloads = [ Spec.Bench2 ])
-  | Error e -> Alcotest.failf "comments rejected: %s" e
-
-let test_parse_errors_carry_line_numbers () =
-  let expect_line n text =
-    match Spec.of_string text with
-    | Ok _ -> Alcotest.failf "expected a parse error for %S" text
-    | Error e ->
-        let prefix = Printf.sprintf "line %d:" n in
-        if not (String.length e >= String.length prefix
-                && String.sub e 0 (String.length prefix) = prefix)
-        then Alcotest.failf "expected %S prefix, got %S" prefix e
-  in
-  expect_line 3 "suite s\nworkloads exp:*\nbogus directive\n";
-  expect_line 2 "suite s\nworkloads exp:* nonsense\n";
-  expect_line 4 "suite s\nworkloads exp:*\nseed 1\nseed 2\n";
-  expect_line 2 "suite s\nmachines quad_xeon quad_xeon\nworkloads exp:*\n";
-  (* an env line is an unknown directive *)
-  expect_line 3 "suite s\nworkloads exp:*\nenv default\n";
-  expect_line 2 "suite s\nfaults maybe\nworkloads exp:*\n";
-  expect_line 1 "suite two words\nworkloads exp:*\n";
-  (* missing required directives report against the end of the file
-     (the trailing newline counts: "a\n" splits into two lines) *)
-  expect_line 3 "suite s\nseed 3\n";
-  expect_line 2 "workloads exp:*\n"
-
-let test_exp_all_requires_registry_membership () =
-  match Spec.of_string "suite s\nworkloads exp:nope\n" with
-  | Error e -> Alcotest.failf "exp ids are resolved at expansion, not parse: %s" e
-  | Ok t -> (
-      match Spec.expand t ~exp_ids:[ "fig8"; "table1" ] with
-      | Ok _ -> Alcotest.fail "unknown experiment id accepted"
-      | Error e -> Alcotest.(check bool) "names the id" true (contains e "nope"))
-
-(* --- spec: expansion ------------------------------------------------------ *)
-
-let expand_exn text ~exp_ids =
-  match Spec.of_string text with
-  | Error e -> Alcotest.failf "spec rejected: %s" e
-  | Ok t -> (
-      match Spec.expand t ~exp_ids with
-      | Ok cells -> (t, cells)
-      | Error e -> Alcotest.failf "expansion failed: %s" e)
-
-let test_expansion_order_and_keys () =
-  let text =
-    "suite s\nseed 10\nmachines quad_xeon uni_k6\nallocators ptmalloc\n\
-     workloads bench2 exp:*\nfaults none oom-pressure:7\n"
-  in
-  let t, cells = expand_exn text ~exp_ids:[ "table1"; "fig8" ] in
-  let keys = List.map (fun c -> c.Spec.key) cells in
-  (* bench2: machines x allocators x faults, innermost fastest;
-     exp:*: registry order x faults, machine axis ignored. *)
-  let expected =
-    [ "bench2@quad_xeon/ptmalloc";
-      "bench2@quad_xeon/ptmalloc+oom-pressure:7";
-      "bench2@uni_k6/ptmalloc";
-      "bench2@uni_k6/ptmalloc+oom-pressure:7";
-      "exp:table1";
-      "exp:table1+oom-pressure:7";
-      "exp:fig8";
-      "exp:fig8+oom-pressure:7";
-    ]
-  in
-  Alcotest.(check (list string)) "expansion order" expected keys;
-  List.iter
-    (fun c ->
-      match c.Spec.workload with
-      | Spec.Exp _ ->
-          Alcotest.(check bool) "exp cells carry no machine axis" true
-            (c.Spec.machine = None && c.Spec.allocator = None);
-          Alcotest.(check int) "exp cells use the spec seed" t.Spec.seed c.Spec.cell_seed
-      | Spec.Exp_all -> Alcotest.fail "exp:* survived expansion"
-      | _ ->
-          Alcotest.(check bool) "bench cells carry both axes" true
-            (c.Spec.machine <> None && c.Spec.allocator <> None))
-    cells;
-  (* bench cell seeds: seed + 101*k within the workload block *)
-  let bench_seeds =
-    List.filter_map
-      (fun c -> match c.Spec.workload with Spec.Bench2 -> Some c.Spec.cell_seed | _ -> None)
-      cells
-  in
-  Alcotest.(check (list int)) "bench seeds derive from the ordinal"
-    (List.init 4 (fun k -> 10 + (101 * k)))
-    bench_seeds
-
-let test_expansion_is_deterministic () =
-  let text = "suite s\nworkloads exp:* bench1 bench3\nmachines quad_xeon\n" in
-  let _, a = expand_exn text ~exp_ids:[ "x"; "y"; "z" ] in
-  let _, b = expand_exn text ~exp_ids:[ "x"; "y"; "z" ] in
-  Alcotest.(check (list string)) "same cells twice"
-    (List.map (fun c -> c.Spec.key) a)
-    (List.map (fun c -> c.Spec.key) b)
-
-let test_duplicate_cells_rejected () =
-  match Spec.of_string "suite s\nworkloads exp:fig8 exp:*\n" with
-  | Error e -> Alcotest.failf "parse should pass, expansion should fail: %s" e
-  | Ok t -> (
-      match Spec.expand t ~exp_ids:[ "fig8" ] with
-      | Ok _ -> Alcotest.fail "duplicate cell keys accepted"
-      | Error _ -> ())
-
 (* --- history -------------------------------------------------------------- *)
 
 let sample_host = { History.cores = 4; cpu_model = "test cpu"; domains = 1 }
 
-let cell ?(ok = true) ?(pct = []) ns words =
+let cell ?(ok = true) ns words =
   { History.ok;
     ns_per_run = ns;
     minor_words_per_run = words;
     counters = [ ("alloc.mallocs", 42); ("vm.sbrk_calls", 3) ];
-    percentiles = pct;
   }
 
-let session ?(host = sample_host) id cells =
-  { History.id; time_s = 1000.; suite = "s"; mode = "quick"; seed = 1; host; cells }
+let session ?(host = sample_host) ?(mode = "quick") id cells =
+  { History.id; time_s = 1000.; suite = "s"; mode; seed = 1; host; wall_s = Some 4.25; cells }
 
 let with_tmp f =
   let path = Filename.temp_file "mb_history" ".json" in
@@ -199,7 +35,7 @@ let test_history_round_trip () =
   with_tmp @@ fun path ->
   let t =
     { History.sessions =
-        [ session "a" [ ("k1", cell 100. 10.); ("k2", cell ~pct:[ ("p50_ns", 5.) ] 200. 20.) ];
+        [ session "a" [ ("k1", cell 100. 10.); ("k2", cell 200. 20.) ];
           session "b" [ ("k1", cell ~ok:false 110. 11.) ];
         ]
     }
@@ -233,6 +69,27 @@ let test_history_append () =
   | Ok t ->
       Alcotest.(check (list string)) "chronological ids" [ "a"; "b" ]
         (List.map (fun s -> s.History.id) t.History.sessions)
+
+let test_history_without_wall_clock () =
+  with_tmp @@ fun path ->
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        "{\"schema\": 1, \"sessions\": [{\"id\": \"old\", \"time_s\": 1000, \
+         \"suite\": \"registry\", \"mode\": \"quick\", \"seed\": 1, \
+         \"host\": {\"cores\": 4, \"cpu_model\": \"test cpu\", \"domains\": 1}, \
+         \"cells\": {\"exp:table1\": {\"ok\": true, \"ns_per_run\": 100, \
+         \"minor_words_per_run\": 10}}}]}");
+  match History.load path with
+  | Error e -> Alcotest.failf "pre-wall-clock file rejected: %s" e
+  | Ok t -> (
+      match t.History.sessions with
+      | [ s ] -> (
+          Alcotest.(check bool) "no wall clock" true (s.History.wall_s = None);
+          History.save path t;
+          match History.load path with
+          | Ok t' -> Alcotest.(check bool) "round-trips without the field" true (t = t')
+          | Error e -> Alcotest.failf "reload failed: %s" e)
+      | _ -> Alcotest.fail "expected one session")
 
 (* --- gate ----------------------------------------------------------------- *)
 
@@ -290,6 +147,15 @@ let test_gate_no_same_host_baseline_is_vacuous_pass () =
   Alcotest.(check bool) "vacuous pass" true v.Gate.ok;
   Alcotest.(check bool) "warns" true (v.Gate.warnings <> [])
 
+let test_gate_ignores_other_modes () =
+  (* Full sessions allocate about ten times the minor words of a quick
+     one; gating a quick session against them would be meaningless. *)
+  let full id = session ~mode:"full" id (four_cells (fun x -> x *. 10.)) in
+  let v = gate_exn [ full "a"; full "b"; full "c"; session "fresh" (four_cells Fun.id) ] in
+  Alcotest.(check bool) "vacuous pass" true v.Gate.ok;
+  Alcotest.(check bool) "says it seeds the baseline" true
+    (List.exists (fun l -> contains l "OK (vacuous)") v.Gate.lines)
+
 let test_gate_singleton_shared_set_uses_raw_ratios () =
   (* One shared cell: median normalization would hide any regression
      (ratio/median = 1.0 always); the guard gates on raw ratios. *)
@@ -336,54 +202,106 @@ let test_report_renders_all_cells () =
   Alcotest.(check int) "csv rows: header + 2 sessions x 4 cells" 9
     (List.length (String.split_on_char '\n' (String.trim csv)))
 
-(* --- runner ---------------------------------------------------------------- *)
+(* --- session metering ------------------------------------------------------ *)
 
-let fake_registry ?(ok = fun _ -> true) ids =
-  { Runner.exp_ids = ids;
-    exp_run =
-      (fun id ~quick:_ ~seed:_ ->
-        if List.mem id ids then Some (fun () -> { Runner.print = (fun () -> ()); ok = ok id })
-        else None);
-  }
+let quick = { Core.Exp_common.quick = true; seed = 1 }
 
-let spec_of_exn text =
-  match Spec.of_string text with Ok t -> t | Error e -> Alcotest.failf "spec: %s" e
+let test_meter_reports_failing_checks () =
+  let outcomes = Core.Experiments.run_all ~jobs:1 ~echo:false ~only:[ "table1"; "predictor" ] quick in
+  let failed (o : Core.Outcome.t) =
+    { o with Core.Outcome.checks = [ Core.Outcome.check "forced" false "injected failure" ] }
+  in
+  let outcomes = List.map (fun o -> if o.Core.Outcome.id = "predictor" then failed o else o) outcomes in
+  let cells = Core.Experiments.meter quick outcomes in
+  Alcotest.(check (list string)) "keys" [ "exp:table1"; "exp:predictor" ] (List.map fst cells);
+  Alcotest.(check (list bool)) "per-cell ok" [ true; false ]
+    (List.map (fun (_, (d : History.cell_data)) -> d.History.ok) cells);
+  List.iter
+    (fun (_, (d : History.cell_data)) ->
+      Alcotest.(check bool) "timed" true (d.History.ns_per_run > 0.);
+      Alcotest.(check bool) "counted" true (List.mem_assoc "alloc.mallocs" d.History.counters))
+    cells;
+  (* a failing session is still recorded *)
+  with_tmp @@ fun path ->
+  Sys.remove path;
+  match History.append path (session "f" cells) with
+  | Error e -> Alcotest.failf "append: %s" e
+  | Ok _ -> (
+      match History.load path with
+      | Ok { History.sessions = [ s ] } ->
+          Alcotest.(check (list bool)) "reloaded ok flags" [ true; false ]
+            (List.map (fun (_, (d : History.cell_data)) -> d.History.ok) s.History.cells)
+      | Ok _ -> Alcotest.fail "expected one session"
+      | Error e -> Alcotest.failf "reload: %s" e)
 
-let test_runner_pure_suite_runs_cells () =
-  let spec = spec_of_exn "suite s\nworkloads exp:*\n" in
-  match Runner.run ~jobs:2 ~registry:(fake_registry [ "a"; "b"; "c" ]) spec with
-  | Error e -> Alcotest.failf "runner: %s" e
-  | Ok data ->
-      Alcotest.(check (list string)) "registry order"
-        [ "exp:a"; "exp:b"; "exp:c" ]
-        (List.map (fun (c, _) -> c.Spec.key) data);
-      List.iter
-        (fun (_, (d : History.cell_data)) ->
-          Alcotest.(check bool) "ok" true d.History.ok;
-          Alcotest.(check bool) "timed" true (d.History.ns_per_run >= 0.);
-          Alcotest.(check (list (pair string (float 0.)))) "no percentiles" [] d.History.percentiles)
-        data
+let test_unknown_exp_id_errors () =
+  match Core.Experiments.run_all ~echo:false ~only:[ "table1"; "zzz" ] quick with
+  | _ -> Alcotest.fail "unknown id accepted"
+  | exception Invalid_argument msg -> Alcotest.(check bool) "names the id" true (contains msg "zzz")
 
-let test_runner_forces_ok_under_faults () =
-  let spec = spec_of_exn "suite s\nworkloads exp:a\nfaults oom-pressure:7\n" in
-  match Runner.run ~registry:(fake_registry ~ok:(fun _ -> false) [ "a" ]) spec with
-  | Error e -> Alcotest.failf "runner: %s" e
-  | Ok [ (_, d) ] -> Alcotest.(check bool) "graceful completion is the bar" true d.History.ok
-  | Ok _ -> Alcotest.fail "expected one cell"
+(* --- command line ---------------------------------------------------------- *)
 
-let test_runner_reports_failing_checks () =
-  let spec = spec_of_exn "suite s\nworkloads exp:a exp:b\n" in
-  match Runner.run ~jobs:1 ~registry:(fake_registry ~ok:(fun id -> id = "a") [ "a"; "b" ]) spec with
-  | Error e -> Alcotest.failf "runner: %s" e
-  | Ok data ->
-      Alcotest.(check (list bool)) "per-cell ok" [ true; false ]
-        (List.map (fun (_, (d : History.cell_data)) -> d.History.ok) data)
+(* The mallocbench binary, built beside the test (see test/dune). *)
+let mallocbench =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "mallocbench.exe" ]
 
-let test_runner_unknown_exp_id_errors () =
-  let spec = spec_of_exn "suite s\nworkloads exp:zzz\n" in
-  match Runner.run ~registry:(fake_registry [ "a" ]) spec with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown id accepted"
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Runs mallocbench with [args]; returns the exit code, stdout and stderr. *)
+let cli args =
+  let out = Filename.temp_file "mb_cli" ".out" and err = Filename.temp_file "mb_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ out; err ])
+    (fun () ->
+      let code =
+        Sys.command
+          (String.concat " "
+             (List.map Filename.quote (mallocbench :: args)
+             @ [ ">"; Filename.quote out; "2>"; Filename.quote err ]))
+      in
+      (code, read_file out, read_file err))
+
+let test_cli_unknown_id () =
+  let code, out, err = cli [ "experiment"; "--quick"; "nosuch" ] in
+  Alcotest.(check int) "usage error" 124 code;
+  Alcotest.(check bool) "names the id" true (contains err "\"nosuch\"");
+  Alcotest.(check string) "runs nothing" "" out
+
+let test_cli_history_rejects_observation () =
+  with_tmp @@ fun path ->
+  Sys.remove path;
+  List.iter
+    (fun flags ->
+      let code, _, err = cli ([ "experiment"; "--quick"; "table1"; "--history"; path ] @ flags) in
+      Alcotest.(check int) (String.concat " " flags ^ ": usage error") 124 code;
+      Alcotest.(check bool) "explains" true (contains err "--history");
+      Alcotest.(check bool) "no session recorded" false (Sys.file_exists path))
+    [ [ "--check" ]; [ "--metrics" ]; [ "--faults"; "oom-pressure:7" ]; [ "--trace"; path ^ ".trace" ] ]
+
+let test_cli_history_session () =
+  with_tmp @@ fun path ->
+  Sys.remove path;
+  let _, plain, _ = cli [ "experiment"; "--quick"; "table1" ] in
+  let code, out, _ = cli [ "experiment"; "--quick"; "table1"; "--history"; path ] in
+  Alcotest.(check int) "exit" 0 code;
+  let marker = "== session " in
+  let rec find i =
+    if i + String.length marker > String.length out then Alcotest.failf "no trailer:\n%s" out
+    else if String.sub out i (String.length marker) = marker then i
+    else find (i + 1)
+  in
+  Alcotest.(check string) "plain output before the trailer" plain (String.sub out 0 (find 0));
+  match History.load path with
+  | Ok { History.sessions = [ s ] } ->
+      Alcotest.(check (list string)) "cells" [ "exp:table1" ] (List.map fst s.History.cells);
+      Alcotest.(check string) "mode" "quick" s.History.mode;
+      Alcotest.(check int) "metering pool width" (Core.Pool.default_jobs ())
+        s.History.host.History.domains;
+      Alcotest.(check bool) "wall clock" true (match s.History.wall_s with Some w -> w > 0. | None -> false)
+  | Ok _ -> Alcotest.fail "expected one session"
+  | Error e -> Alcotest.failf "history: %s" e
 
 (* --- json ------------------------------------------------------------------ *)
 
@@ -408,32 +326,27 @@ let test_json_rejects_garbage () =
     [ ""; "{"; "{\"a\": }"; "[1, ]"; "tru"; "\"unterminated"; "{\"a\": 1} trailing" ]
 
 let suite =
-  [ QCheck_alcotest.to_alcotest prop_round_trip;
-    Alcotest.test_case "parse defaults" `Quick test_parse_defaults;
-    Alcotest.test_case "comments and blanks" `Quick test_parse_comments_and_blanks;
-    Alcotest.test_case "errors carry line numbers" `Quick test_parse_errors_carry_line_numbers;
-    Alcotest.test_case "unknown exp id fails expansion" `Quick test_exp_all_requires_registry_membership;
-    Alcotest.test_case "expansion order and keys" `Quick test_expansion_order_and_keys;
-    Alcotest.test_case "expansion is deterministic" `Quick test_expansion_is_deterministic;
-    Alcotest.test_case "duplicate cells rejected" `Quick test_duplicate_cells_rejected;
-    Alcotest.test_case "history round-trip" `Quick test_history_round_trip;
+  [ Alcotest.test_case "history round-trip" `Quick test_history_round_trip;
     Alcotest.test_case "history missing/future schema" `Quick test_history_missing_and_future;
     Alcotest.test_case "history append" `Quick test_history_append;
+    Alcotest.test_case "history without wall clock" `Quick test_history_without_wall_clock;
     Alcotest.test_case "gate passes flat trend" `Quick test_gate_passes_on_flat_trend;
     Alcotest.test_case "gate fails 25% regression" `Quick test_gate_fails_on_25pc_regression;
     Alcotest.test_case "gate normalizes host factor" `Quick test_gate_normalizes_host_factor;
     Alcotest.test_case "gate medians out a noisy session" `Quick test_gate_median_baseline_rides_out_noise;
     Alcotest.test_case "gate warns on fresh-only cells" `Quick test_gate_fresh_only_warns;
     Alcotest.test_case "gate vacuous pass on new host" `Quick test_gate_no_same_host_baseline_is_vacuous_pass;
+    Alcotest.test_case "gate ignores other modes" `Quick test_gate_ignores_other_modes;
     Alcotest.test_case "gate singleton shared set" `Quick test_gate_singleton_shared_set_uses_raw_ratios;
     Alcotest.test_case "gate GC regression is raw" `Quick test_gate_gc_regression_is_raw;
     Alcotest.test_case "gate self-test scales first cell" `Quick test_gate_self_test_scales_first_cell;
     Alcotest.test_case "gate empty history errors" `Quick test_gate_empty_history_errors;
     Alcotest.test_case "report renders all cells" `Quick test_report_renders_all_cells;
-    Alcotest.test_case "runner pure suite" `Quick test_runner_pure_suite_runs_cells;
-    Alcotest.test_case "runner forces ok under faults" `Quick test_runner_forces_ok_under_faults;
-    Alcotest.test_case "runner reports failing checks" `Quick test_runner_reports_failing_checks;
-    Alcotest.test_case "runner unknown exp id" `Quick test_runner_unknown_exp_id_errors;
+    Alcotest.test_case "runner reports failing checks" `Quick test_meter_reports_failing_checks;
+    Alcotest.test_case "runner unknown exp id" `Quick test_unknown_exp_id_errors;
+    Alcotest.test_case "cli rejects unknown experiment id" `Quick test_cli_unknown_id;
+    Alcotest.test_case "cli --history rejects observation" `Quick test_cli_history_rejects_observation;
+    Alcotest.test_case "cli --history records a session" `Quick test_cli_history_session;
     Alcotest.test_case "json round-trip" `Quick test_json_round_trip;
     Alcotest.test_case "json rejects garbage" `Quick test_json_rejects_garbage;
   ]
