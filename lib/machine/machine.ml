@@ -64,7 +64,9 @@ type t = {
   cycle_ns : float;
   quantum_cycles : float;
   cpus : cpu array;
-  ready : thread Queue.t;
+  ready : fifo;
+  reference : bool;  (* test-only: every spin runs the explicit probe
+                        chain (see [spin_on]) *)
   mutable next_tid : int;
   mutable next_asid : int;
   mutable ctx_switches : int;
@@ -102,29 +104,47 @@ and mutex = {
   heap_lock : bool;  (* allocator heap lock, for the aggregated
                         contended-vs-uncontended metrics split *)
   mutable owner : thread option;
-  waiters : thread Queue.t;
-  mutable spinners : spinner list;  (* suspended spin-wait registrations,
-                                       in spin-entry order; the release
-                                       sites drive their wake-ups *)
+  waiters : fifo;
+  spinners : fifo;  (* threads suspended in [spin_on]'s lazy branch, in
+                       spin-entry order; the release sites drive their
+                       wake-ups *)
+  mutable mu_some : mutex option;  (* [Some] of this mutex, built once,
+                                      for the spinner slot *)
   mutable contentions : int;
   mutable acquisitions : int;
 }
 
-(* One registration per spinner suspended in [spin_on]'s poller branch.
-   [sbase] is the simulated time of the last probe boundary already
-   accounted; [srem] the spin cycles still budgeted past it. Probe
-   boundaries are materialized lazily — see the big comment at
-   [spin_on]. *)
+(* A thread FIFO linked through the threads' own [link] fields: a thread
+   waits in at most one queue at a time (ready, a mutex's waiters or
+   spinners, a latch, a wait queue, a joiner list), so pushing and
+   popping store preallocated [as_some] boxes and allocate nothing. *)
+and fifo = {
+  mutable first : thread option;
+  mutable last : thread option;
+  mutable len : int;
+}
+
+(* Each thread's spinner slot, allocated at spawn: a thread spins on at
+   most one mutex at a time, so one slot carries every registration it
+   ever makes. [smu] is the mutex of the live registration ([None]
+   between registrations); [srem] the spin cycles still budgeted past
+   the last accounted probe boundary, whose time is the thread's
+   [hot.spin_base]. Probe boundaries are materialized lazily — see the
+   big comment at [spin_on]. The event thunks and the suspend callback
+   are built once, at spawn. *)
 and spinner = {
-  sth : thread;
-  smu : mutex;
-  mutable sbase : float;
+  mutable smu : mutex option;
   mutable srem : int;
-  mutable salive : bool;
-  mutable swake : bool;  (* a wake event is already queued at the next
-                            boundary, so release sites must not queue a
-                            second one *)
+  mutable swake : bool;  (* the live registration has a wake event
+                            queued at its next boundary, so release
+                            sites must not queue a second one *)
+  mutable sxq : int;  (* expiry events queued, stale ones included *)
+  mutable sdeferred : bool;  (* the live registration's expiry already
+                                yielded its instant once *)
   mutable sresume : unit -> unit;
+  mutable swake_ev : unit -> unit;
+  mutable sexpire_ev : unit -> unit;
+  mutable sregister : (unit -> unit) -> unit;
 }
 
 and proc = {
@@ -149,6 +169,8 @@ and thread_hot = {
   mutable finish_ns : float;
   mutable cpu_cycles : float;
   mutable run_start_ns : float;  (* dispatch time of the current CPU tenure *)
+  mutable spin_base : float;  (* last accounted probe boundary of the
+                                 live spin registration *)
 }
 
 and thread = {
@@ -169,11 +191,17 @@ and thread = {
   mutable faults : int;
   mutable stack_addr : int;
   mutable hooks : (unit -> unit) list;
-  joiners : thread Queue.t;
+  joiners : fifo;
   mutable lane : int;  (* engine pid: this thread's trace lane *)
   mutable as_some : thread option;
-      (* [Some] of this thread, built once at spawn: a CPU dispatch or a
-         mutex acquisition stores it instead of allocating a fresh box *)
+      (* [Some] of this thread, built once at spawn: a CPU dispatch, a
+         mutex acquisition or a FIFO link stores it instead of
+         allocating a fresh box *)
+  mutable link : thread option;  (* next thread in the FIFO holding this
+                                    one; [None] when last or in none *)
+  spin : spinner;
+  mutable ready_ev : unit -> unit;  (* [make_ready] of this thread, built
+                                       at spawn for timer wakes *)
 }
 
 type ctx = thread
@@ -194,7 +222,47 @@ let no_register : (unit -> unit) -> unit = fun _ -> ()
 
 let thread_stack_bytes = 16 * 1024
 
-let create ?(seed = 42) ?obs ?check ?fault (config : config) =
+let fifo_create () = { first = None; last = None; len = 0 }
+
+let[@inline] fifo_is_empty q = match q.first with None -> true | Some _ -> false
+
+let fifo_push q th =
+  let cell = th.as_some in
+  (match q.last with None -> q.first <- cell | Some l -> l.link <- cell);
+  q.last <- cell;
+  q.len <- q.len + 1
+
+(* Unlink the head and return it as its [as_some] box ([None] when
+   empty), so the caller can push it onto another FIFO at once. *)
+let fifo_pop q =
+  match q.first with
+  | None -> None
+  | Some th as cell ->
+      let next = th.link in
+      q.first <- next;
+      (match next with None -> q.last <- None | Some _ -> ());
+      th.link <- None;
+      q.len <- q.len - 1;
+      cell
+
+(* Unlink [th] from anywhere in [q]: a walk, top-level so it builds no
+   closure; only spinner lists (at most one thread per CPU) use it. *)
+let rec fifo_unlink q th prev cur =
+  match cur with
+  | None -> ()
+  | Some c ->
+      if c == th then begin
+        let next = c.link in
+        (match prev with None -> q.first <- next | Some p -> p.link <- next);
+        (match next with None -> q.last <- prev | Some _ -> ());
+        c.link <- None;
+        q.len <- q.len - 1
+      end
+      else fifo_unlink q th cur c.link
+
+let fifo_remove q th = fifo_unlink q th None q.first
+
+let create ?(seed = 42) ?obs ?check ?fault ?(reference = false) (config : config) =
   if config.cpus <= 0 then invalid_arg "Machine.create: cpus <= 0";
   if config.mhz <= 0. then invalid_arg "Machine.create: mhz <= 0";
   let cycle_ns = 1000. /. config.mhz in
@@ -210,7 +278,8 @@ let create ?(seed = 42) ?obs ?check ?fault (config : config) =
     cycle_ns;
     quantum_cycles = config.quantum_us *. 1000. /. cycle_ns;
     cpus = Array.init config.cpus (fun cpu_id -> { cpu_id; current = None });
-    ready = Queue.create ();
+    ready = fifo_create ();
+    reference;
     next_tid = 0;
     next_asid = 0;
     ctx_switches = 0;
@@ -318,29 +387,35 @@ let thread_name th =
 let dispatch m cpu =
   match cpu.current with
   | Some _ -> ()
-  | None ->
-      if not (Queue.is_empty m.ready) then begin
-        let th = Queue.take m.ready in
-        cpu.current <- th.as_some;
-        th.state <- Running;
-        th.on_cpu <- cpu.cpu_id;
-        (* The first timer tick after a switch lands at a random phase of
-           the quantum, as hardware timer interrupts do. *)
-        th.hot.quantum_left <- m.quantum_cycles *. (0.5 +. (0.5 *. Rng.float m.root_rng 1.0));
-        th.switches <- th.switches + 1;
-        m.ctx_switches <- m.ctx_switches + 1;
-        let switch = float_of_int m.config.ctx_switch_cycles in
-        m.mh.busy <- m.mh.busy +. switch;
-        th.hot.cpu_cycles <- th.hot.cpu_cycles +. switch;
-        let resume = th.resume in
-        if resume == no_resume then
-          invalid_arg "Machine: dispatching a thread that never parked";
-        th.resume <- no_resume;
-        th.hot.run_start_ns <- Engine.now m.engine;
-        Engine.at m.engine (Engine.now m.engine +. cycles_to_ns m switch) resume
-      end
+  | None -> (
+      match fifo_pop m.ready with
+      | None -> ()
+      | Some th as cell ->
+          cpu.current <- cell;
+          th.state <- Running;
+          th.on_cpu <- cpu.cpu_id;
+          (* The first timer tick after a switch lands at a random phase of
+             the quantum, as hardware timer interrupts do. *)
+          th.hot.quantum_left <- m.quantum_cycles *. (0.5 +. (0.5 *. Rng.float m.root_rng 1.0));
+          th.switches <- th.switches + 1;
+          m.ctx_switches <- m.ctx_switches + 1;
+          let switch = float_of_int m.config.ctx_switch_cycles in
+          m.mh.busy <- m.mh.busy +. switch;
+          th.hot.cpu_cycles <- th.hot.cpu_cycles +. switch;
+          let resume = th.resume in
+          if resume == no_resume then
+            invalid_arg "Machine: dispatching a thread that never parked";
+          th.resume <- no_resume;
+          th.hot.run_start_ns <- Engine.now m.engine;
+          m.dcell.cell_time <- Engine.now m.engine +. cycles_to_ns m switch;
+          Engine.at_pending m.engine resume)
 
-let kick m = Array.iter (fun cpu -> dispatch m cpu) m.cpus
+(* A loop, not [Array.iter]: a closure over [m] would be built on every
+   wake. *)
+let kick m =
+  for i = 0 to Array.length m.cpus - 1 do
+    dispatch m (Array.unsafe_get m.cpus i)
+  done
 
 let park_for_cpu th = Engine.park th.park_register
 
@@ -364,13 +439,22 @@ let release_cpu m th =
 
 let make_ready m th =
   th.state <- Ready;
-  Queue.push th m.ready;
+  fifo_push m.ready th;
   kick m
+
+(* Make every thread of [q] ready, in FIFO order. Each is unlinked
+   before [make_ready] reuses its link for the ready queue. *)
+let rec wake_fifo m q =
+  match fifo_pop q with
+  | None -> ()
+  | Some w ->
+      make_ready m w;
+      wake_fifo m q
 
 (* Quantum expiry with other work waiting: back of the ready queue. *)
 let preempt m th =
   th.state <- Ready;
-  Queue.push th m.ready;
+  fifo_push m.ready th;
   Engine.set_wait m.engine th.lane ~why:"waiting for a cpu" ~waits_on:(-1);
   release_cpu m th;
   park_for_cpu th
@@ -395,7 +479,7 @@ let rec consume th cycles =
       let q' = q -. cycles in
       th.hot.quantum_left <- q';
       if q' <= 0. then begin
-        if Queue.is_empty m.ready then th.hot.quantum_left <- m.quantum_cycles
+        if fifo_is_empty m.ready then th.hot.quantum_left <- m.quantum_cycles
         else preempt m th
       end
     end
@@ -405,7 +489,7 @@ let rec consume th cycles =
       th.hot.cpu_cycles <- th.hot.cpu_cycles +. q;
       m.mh.busy <- m.mh.busy +. q;
       th.hot.quantum_left <- 0.;
-      if Queue.is_empty m.ready then th.hot.quantum_left <- m.quantum_cycles
+      if fifo_is_empty m.ready then th.hot.quantum_left <- m.quantum_cycles
       else preempt m th;
       consume th (cycles -. q)
     end
@@ -439,7 +523,7 @@ let acquire_cpu_initial m th =
       Engine.delay (cycles_to_ns m switch)
   | None ->
       th.state <- Ready;
-      Queue.push th m.ready;
+      fifo_push m.ready th;
       Engine.set_wait m.engine th.lane ~why:"waiting for a cpu" ~waits_on:(-1);
       park_for_cpu th
 
@@ -460,7 +544,7 @@ let work_exact_cycles th cycles =
       let q' = q -. fc in
       th.hot.quantum_left <- q';
       if q' <= 0. then begin
-        if Queue.is_empty m.ready then th.hot.quantum_left <- m.quantum_cycles
+        if fifo_is_empty m.ready then th.hot.quantum_left <- m.quantum_cycles
         else preempt m th
       end
     end
@@ -479,12 +563,14 @@ let mutex_make ?(heap = false) mm mname =
       mm;
       heap_lock = heap;
       owner = None;
-      waiters = Queue.create ();
-      spinners = [];
+      waiters = fifo_create ();
+      spinners = fifo_create ();
+      mu_some = None;
       contentions = 0;
       acquisitions = 0;
     }
   in
+  mu.mu_some <- Some mu;
   mm.mutexes <- mu :: mm.mutexes;
   mu
 
@@ -534,91 +620,137 @@ let rec spin_on_steps mu th budget =
    (t += float step *. cycle_ns), and the elided no-op probes' cycle
    accounting is applied in bulk when a boundary is materialized —
    nothing reads a suspended spinner's counters in between, so the
-   laziness is invisible. One up-front event at the budget-exhaustion
-   boundary bounds the spin when the lock is never released (or is
-   handed off directly and never reads None).
+   laziness is invisible. One up-front expiry event at the
+   budget-exhaustion boundary bounds the spin when the lock is never
+   released (or is handed off directly and never reads None).
 
    Schedule neutrality: a wake pushed from the releasing event gets its
    sequence number during that event's execution, before anything the
    releaser subsequently pushes and after everything already queued —
-   exactly the relative order the surviving probe's push had in the
-   chain (its predecessors executed in a window where no other event
-   ran). Same-phase spinners on one mutex wake in registration order,
-   which is the order their chains interleaved. A probe boundary that
-   ties the releasing event's time exactly wakes at that same time: in
-   the chain, the probe's push (8 cycles earlier) always followed the
-   releaser's own wake-up push (≥ lock-op cost ≡ 14 cycles earlier), so
-   the tied probe ran after the release and observed it.
+   the relative order the surviving probe's push had in the chain,
+   provided no other thread's event shares the probe's instant.
+   Same-phase spinners on one mutex wake in registration order. One
+   tie is handled: a probe boundary that ties the releasing event's
+   time exactly wakes at that same time. In the chain, the probe's push
+   (8 cycles earlier) followed the releaser's own wake-up push (one
+   lock op earlier), so the tied probe ran after the release and
+   observed it; this needs a lock op longer than the 8-cycle step, not
+   split by a quantum expiry. A release at exactly the expiry boundary
+   is the same tie; [spin_expire] orders it. Other ties can order
+   same-instant events differently from the chain: two threads
+   spinning in the same phase, a chain spinner whose probe a quantum
+   expiry split, or a lock op of at most 8 cycles (a single-threaded
+   process's stub lock taking the kernel lock). Jittered work makes
+   them rare, but exact-cost paths (thread start, timer wakes) can
+   still line threads up. [Machine.create ~reference:true] runs every
+   spin as the chain, and a property test holds the two models to
+   identical schedules on jittered programs and on tie-dense
+   two-thread programs with exact costs.
 
    Each materialized probe replicates [work_exact_cycles]'s fast
    branch: account the cycles, then decide. The 64-cycle slack in the
    entry guard keeps the quantum strictly positive through every probe,
    so the fast branch is exact (no preempt, no quantum refresh); the
    rare spin that straddles a quantum boundary takes the step loop,
-   which handles preemption. *)
+   which handles preemption.
 
-let spin_step_account th m fc =
+   The registration lives in the thread's spinner slot ([th.spin]),
+   built at spawn with its wake and expiry thunks and its suspend
+   callback, so a contended spin allocates nothing of its own. Events
+   cannot be withdrawn from the queue, so a registration that ends
+   leaves its other queued events behind. A stale expiry is one whose
+   registration a wake ended first, and it may fire while a later
+   registration of the thread is live; the slot counts its queued
+   expiries ([sxq]) and an expiry acts only if it is the last one
+   queued. That suffices because expiries fire in FIFO order per
+   thread: a later registration starts after the earlier one ended, so
+   its expiry boundary comes later. A stale wake arises only when a
+   release-driven wake and the expiry land on the same final boundary:
+   the expiry, queued first, ends the registration and resumes the
+   thread. The wake then fires within that same instant, before the
+   thread can register again: the thread only spins again after a lock
+   op's delay or a block, and whatever resumes it is queued after the
+   wake. So [swake], which ending a registration clears, is all a wake
+   checks. *)
+
+let spin_step_account th m step =
+  let fc = float_of_int step in
   th.hot.cpu_cycles <- th.hot.cpu_cycles +. fc;
   m.mh.busy <- m.mh.busy +. fc;
   th.hot.quantum_left <- th.hot.quantum_left -. fc
 
-(* Materialize every probe boundary strictly below [t_lim]: each one is
-   a no-op probe the chain would have run, so account its step and
-   advance the phase. A boundary exactly at [t_lim] stays pending — a
+(* Materialize every probe boundary strictly before now: each one is a
+   no-op probe the chain would have run, so account its step and
+   advance the phase. A boundary exactly at now stays pending — a
    release at that time is observed *by* that probe (see above). *)
-let spin_advance m sp t_lim =
+let spin_advance m th sp =
+  let t_lim = Engine.now m.engine in
   let continue_ = ref true in
   while !continue_ && sp.srem > 0 do
     let step = if sp.srem < 8 then sp.srem else 8 in
-    let fc = float_of_int step in
-    let nxt = sp.sbase +. (fc *. m.cycle_ns) in
+    let nxt = th.hot.spin_base +. (float_of_int step *. m.cycle_ns) in
     if nxt < t_lim then begin
-      spin_step_account sp.sth m fc;
-      sp.sbase <- nxt;
+      spin_step_account th m step;
+      th.hot.spin_base <- nxt;
       sp.srem <- sp.srem - step
     end
     else continue_ := false
   done
 
-let spin_finish sp =
-  sp.salive <- false;
-  let mu = sp.smu in
-  mu.spinners <- List.filter (fun s -> s != sp) mu.spinners;
+let spin_finish th sp mu =
+  sp.smu <- None;
+  sp.swake <- false;
+  fifo_remove mu.spinners th;
   let resume = sp.sresume in
   sp.sresume <- no_resume;
   resume ()
 
 (* Wake event at one probe boundary: account this probe's step, then
    decide exactly as the chain's probe did — keep spinning (silently:
-   the next release or the exhaustion event drives the next wake),
-   or re-enter the thread. *)
-let spin_wake sp () =
-  if sp.salive then begin
-    sp.swake <- false;
-    let mu = sp.smu in
-    let m = mu.mm in
-    let step = if sp.srem < 8 then sp.srem else 8 in
-    spin_step_account sp.sth m (float_of_int step);
-    sp.sbase <- Engine.now m.engine;
-    sp.srem <- sp.srem - step;
-    if sp.srem > 0 && (match mu.owner with Some _ -> true | None -> false)
-    then ()
-    else spin_finish sp
-  end
+   the next release or the expiry drives the next wake), or re-enter
+   the thread. *)
+let spin_wake th sp () =
+  if sp.swake then
+    match sp.smu with
+    | None -> ()
+    | Some mu ->
+        sp.swake <- false;
+        let m = mu.mm in
+        let step = if sp.srem < 8 then sp.srem else 8 in
+        spin_step_account th m step;
+        th.hot.spin_base <- Engine.now m.engine;
+        sp.srem <- sp.srem - step;
+        if sp.srem > 0 && (match mu.owner with Some _ -> true | None -> false)
+        then ()
+        else spin_finish th sp mu
 
-(* Up-front event at the final probe boundary: if no release resumed
-   the spinner first, materialize the remaining no-op probes and
-   re-enter the thread with the budget exhausted. *)
-let spin_expire sp () =
-  if sp.salive then begin
-    let m = sp.smu.mm in
-    let t_end = Engine.now m.engine in
-    spin_advance m sp t_end;
-    spin_step_account sp.sth m (float_of_int sp.srem);
-    sp.sbase <- t_end;
-    sp.srem <- 0;
-    spin_finish sp
-  end
+(* Expiry event at the final probe boundary: if no release resumed the
+   spinner first, materialize the remaining no-op probes and re-enter
+   the thread with the budget exhausted. It was queued at registration,
+   so it runs before every other event of its instant, where the chain's
+   last probe (queued one step earlier) runs after those queued before
+   that — a release at exactly this instant among them. So when another
+   event shares the instant and no wake of ours is already queued on
+   it, the expiry goes once to the back of the instant before deciding. *)
+let spin_expire th sp () =
+  sp.sxq <- sp.sxq - 1;
+  if sp.sxq = 0 then
+    match sp.smu with
+    | None -> ()
+    | Some mu ->
+        let m = mu.mm in
+        if (not sp.sdeferred) && (not sp.swake) && Engine.tie_pending m.engine then begin
+          sp.sdeferred <- true;
+          m.dcell.cell_time <- Engine.now m.engine;
+          Engine.at_pending m.engine sp.sexpire_ev;
+          sp.sxq <- sp.sxq + 1
+        end
+        else begin
+          spin_advance m th sp;
+          spin_step_account th m sp.srem;
+          sp.srem <- 0;
+          spin_finish th sp mu
+        end
 
 (* Release hook, called right after [mu.owner <- None]: catch every
    registration up to now (all skipped boundaries were no-op probes —
@@ -626,48 +758,46 @@ let spin_expire sp () =
    boundary that observes the release. [swake] dedupes: a still-pending
    wake already lands on that exact boundary, because no boundary lies
    between two releases with no probe in between. *)
-let wake_spinners mu =
-  let m = mu.mm in
-  let now = Engine.now m.engine in
-  List.iter
-    (fun sp ->
-      if sp.salive then begin
-        spin_advance m sp now;
-        if (not sp.swake) && sp.srem > 0 then begin
-          sp.swake <- true;
-          let step = if sp.srem < 8 then sp.srem else 8 in
-          let t_w = sp.sbase +. (float_of_int step *. m.cycle_ns) in
-          Engine.at m.engine t_w (spin_wake sp)
-        end
-      end)
-    mu.spinners
+let rec wake_spinners m cur =
+  match cur with
+  | None -> ()
+  | Some th ->
+      let sp = th.spin in
+      spin_advance m th sp;
+      if (not sp.swake) && sp.srem > 0 then begin
+        sp.swake <- true;
+        let step = if sp.srem < 8 then sp.srem else 8 in
+        m.dcell.cell_time <- th.hot.spin_base +. (float_of_int step *. m.cycle_ns);
+        Engine.at_pending m.engine sp.swake_ev
+      end;
+      wake_spinners m th.link
 
 let spin_on mu th budget =
   if budget > 0 && (match mu.owner with Some _ -> true | None -> false) then begin
     let m = th.tproc.pm in
-    if float_of_int (budget + 64) >= th.hot.quantum_left then spin_on_steps mu th budget
-    else
-      Engine.suspend m.engine (fun resume ->
-          let sp =
-            { sth = th;
-              smu = mu;
-              sbase = Engine.now m.engine;
-              srem = budget;
-              salive = true;
-              swake = false;
-              sresume = resume;
-            }
-          in
-          mu.spinners <- mu.spinners @ [ sp ];
-          (* Budget-exhaustion boundary, by the same iterated float
-             arithmetic the probe chain accumulates. *)
-          let t_end = ref sp.sbase and b = ref budget in
-          while !b > 0 do
-            let step = if !b < 8 then !b else 8 in
-            t_end := !t_end +. (float_of_int step *. m.cycle_ns);
-            b := !b - step
-          done;
-          Engine.at m.engine !t_end (spin_expire sp))
+    if m.reference || float_of_int (budget + 64) >= th.hot.quantum_left then
+      spin_on_steps mu th budget
+    else begin
+      let sp = th.spin in
+      let base = Engine.now m.engine in
+      th.hot.spin_base <- base;
+      sp.smu <- mu.mu_some;
+      sp.srem <- budget;
+      sp.sdeferred <- false;
+      fifo_push mu.spinners th;
+      (* Budget-exhaustion boundary, by the same iterated float
+         arithmetic the probe chain accumulates. *)
+      let t_end = ref base and b = ref budget in
+      while !b > 0 do
+        let step = if !b < 8 then !b else 8 in
+        t_end := !t_end +. (float_of_int step *. m.cycle_ns);
+        b := !b - step
+      done;
+      m.dcell.cell_time <- !t_end;
+      Engine.at_pending m.engine sp.sexpire_ev;
+      sp.sxq <- sp.sxq + 1;
+      Engine.suspend m.engine sp.sregister
+    end
   end
 
 (* Contended path: spin (on SMP, if configured), then either race a CAS
@@ -698,7 +828,7 @@ let rec mutex_lock_slow mu th =
           ~args:[ ("cpu", string_of_int th.on_cpu) ]
           ();
       Engine.set_wait m.engine th.lane ~why:mu.mblocked ~waits_on:owner.lane;
-      Queue.push th mu.waiters;
+      fifo_push mu.waiters th;
       release_cpu m th;
       park_for_cpu th;
       if m.config.mutex_handoff then begin
@@ -725,7 +855,7 @@ let mutex_lock mu th =
      ready — [preempt] hands the CPU to the head of the ready queue. *)
   if
     mu.mm.fault_on
-    && (not (Queue.is_empty mu.mm.ready))
+    && (not (fifo_is_empty mu.mm.ready))
     && Fault.preempt_now mu.mm.fault
   then preempt mu.mm th;
   work_exact_cycles th (lock_op_cost th);
@@ -750,7 +880,7 @@ let mutex_unlock mu th =
   end;
   note_released mu th;
   work_exact_cycles th (lock_op_cost th);
-  match Queue.take_opt mu.waiters with
+  match fifo_pop mu.waiters with
   | Some w ->
       if mu.mm.config.mutex_handoff then begin
         (* Direct handoff: the waiter owns the lock before it even runs,
@@ -762,13 +892,13 @@ let mutex_unlock mu th =
       else begin
         (* Barging: free the lock, wake the waiter, let it re-compete. *)
         mu.owner <- None;
-        if mu.spinners <> [] then wake_spinners mu;
+        wake_spinners mu.mm mu.spinners.first;
         work_exact_cycles th mu.mm.config.wake_cycles;
         make_ready mu.mm w
       end
   | None ->
       mu.owner <- None;
-      if mu.spinners <> [] then wake_spinners mu
+      wake_spinners mu.mm mu.spinners.first
 
 (* The 2.2-era kernel serialized VM syscalls behind the big kernel lock
    (the paper patched sbrk to avoid it, mm/mmap.c in 2.3.5-2.3.7). *)
@@ -859,7 +989,7 @@ let work th cycles =
       let q' = q -. fc in
       th.hot.quantum_left <- q';
       if q' <= 0. then begin
-        if Queue.is_empty m.ready then th.hot.quantum_left <- m.quantum_cycles
+        if fifo_is_empty m.ready then th.hot.quantum_left <- m.quantum_cycles
         else preempt m th
       end
     end
@@ -909,6 +1039,7 @@ let spawn p ?name body =
           finish_ns = nan;
           cpu_cycles = 0.;
           run_start_ns = 0.;
+          spin_base = 0.;
         };
       switches = 0;
       blocks = 0;
@@ -916,13 +1047,31 @@ let spawn p ?name body =
       faults = 0;
       stack_addr = -1;
       hooks = [];
-      joiners = Queue.create ();
+      joiners = fifo_create ();
       lane = 0;
       as_some = None;
+      link = None;
+      spin =
+        { smu = None;
+          srem = 0;
+          swake = false;
+          sxq = 0;
+          sdeferred = false;
+          sresume = no_resume;
+          swake_ev = no_resume;
+          sexpire_ev = no_resume;
+          sregister = no_register;
+        };
+      ready_ev = no_resume;
     }
   in
   th.park_register <- (fun r -> th.resume <- r);
   th.as_some <- Some th;
+  let sp = th.spin in
+  sp.swake_ev <- spin_wake th sp;
+  sp.sexpire_ev <- spin_expire th sp;
+  sp.sregister <- (fun r -> sp.sresume <- r);
+  th.ready_ev <- (fun () -> make_ready m th);
   p.live_threads <- p.live_threads + 1;
   if p.live_threads >= 2 then p.ever_multi <- true;
   (* The engine only needs a name string for trace lanes (and error
@@ -956,8 +1105,7 @@ let spawn p ?name body =
          th.hot.finish_ns <- Engine.now m.engine;
          th.state <- Finished;
          p.live_threads <- p.live_threads - 1;
-         Queue.iter (fun joiner -> make_ready m joiner) th.joiners;
-         Queue.clear th.joiners;
+         wake_fifo m th.joiners;
          release_cpu m th));
   th
 
@@ -967,7 +1115,7 @@ let join th target =
   if target.state <> Finished then begin
     let m = th.tproc.pm in
     th.state <- Blocked;
-    Queue.push th target.joiners;
+    fifo_push target.joiners th;
     Engine.set_wait m.engine th.lane ~why:("joining " ^ thread_name target)
       ~waits_on:target.lane;
     release_cpu m th;
@@ -1090,14 +1238,14 @@ let munmap th addr ~len =
 module Latch = struct
   type machine = t
 
-  type t = { lm : machine; mutable set : bool; waiters : thread Queue.t }
+  type t = { lm : machine; mutable set : bool; waiters : fifo }
 
-  let create lm = { lm; set = false; waiters = Queue.create () }
+  let create lm = { lm; set = false; waiters = fifo_create () }
 
   let wait l th =
     if not l.set then begin
       th.state <- Blocked;
-      Queue.push th l.waiters;
+      fifo_push l.waiters th;
       Engine.set_wait l.lm.engine th.lane ~why:"waiting on a latch" ~waits_on:(-1);
       release_cpu l.lm th;
       park_for_cpu th
@@ -1106,8 +1254,7 @@ module Latch = struct
   let signal l _ctx =
     if not l.set then begin
       l.set <- true;
-      Queue.iter (fun w -> make_ready l.lm w) l.waiters;
-      Queue.clear l.waiters
+      wake_fifo l.lm l.waiters
     end
 
   let is_set l = l.set
@@ -1127,7 +1274,8 @@ let sleep_until th t =
   if t > Engine.now m.engine then begin
     th.state <- Blocked;
     Engine.set_wait m.engine th.lane ~why:"sleeping" ~waits_on:(-1);
-    Engine.at m.engine t (fun () -> make_ready m th);
+    m.dcell.cell_time <- t;
+    Engine.at_pending m.engine th.ready_ev;
     release_cpu m th;
     park_for_cpu th
   end
@@ -1145,20 +1293,20 @@ let sleep_until th t =
 module Waitq = struct
   type machine = t
 
-  type t = { qm : machine; qwhy : string; waiters : thread Queue.t }
+  type t = { qm : machine; qwhy : string; waiters : fifo }
 
   let create qm ?(name = "waitq") () =
-    { qm; qwhy = "waiting on " ^ name; waiters = Queue.create () }
+    { qm; qwhy = "waiting on " ^ name; waiters = fifo_create () }
 
   let wait q th =
     th.state <- Blocked;
-    Queue.push th q.waiters;
+    fifo_push q.waiters th;
     Engine.set_wait q.qm.engine th.lane ~why:q.qwhy ~waits_on:(-1);
     release_cpu q.qm th;
     park_for_cpu th
 
   let wake_one q th =
-    match Queue.take_opt q.waiters with
+    match fifo_pop q.waiters with
     | None -> false
     | Some w ->
         work_exact_cycles th q.qm.config.wake_cycles;
@@ -1166,18 +1314,17 @@ module Waitq = struct
         true
 
   let wake_all q th =
-    let n = Queue.length q.waiters in
+    let n = q.waiters.len in
     if n > 0 then begin
       (* Charge the whole batch before releasing anyone: the charge can
          yield (quantum expiry), and a half-woken queue would let a
          released waiter re-park behind its own wake. *)
       work_exact_cycles th (q.qm.config.wake_cycles * n);
-      Queue.iter (fun w -> make_ready q.qm w) q.waiters;
-      Queue.clear q.waiters
+      wake_fifo q.qm q.waiters
     end;
     n
 
-  let waiting q = Queue.length q.waiters
+  let waiting q = q.waiters.len
 end
 
 (* --- mutexes ------------------------------------------------------------ *)

@@ -56,6 +56,7 @@ val create :
   ?obs:Mb_obs.Recorder.t ->
   ?check:Mb_check.Checker.t ->
   ?fault:Mb_fault.Injector.t ->
+  ?reference:bool ->
   config ->
   t
 (** Fresh machine. Equal seeds and programs give identical runs.
@@ -68,7 +69,12 @@ val create :
     [fault] is the machine's fault injector, defaulting to
     {!Mb_fault.Ctl.injector}[ ()] ({!Mb_fault.Injector.null} unless a
     [--faults] plan is armed); when disarmed every injection site is a
-    dead branch and output is byte-identical to a faultless build. *)
+    dead branch and output is byte-identical to a faultless build.
+    [reference] (default [false]) is for tests only: it makes every
+    contended spin run the explicit chain of 8-cycle probe events
+    instead of the lazily materialized registration that normal runs
+    use. The two must produce identical schedules; the test suite
+    compares them. *)
 
 val config : t -> config
 

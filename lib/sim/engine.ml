@@ -229,10 +229,18 @@ let pop t =
 
 (* --- scheduling entry points ------------------------------------------ *)
 
-let at t time thunk =
-  if not (time >= t.clock.cell_time) then invalid_arg "Engine.at: time in the past or NaN";
+(* The single thunk-scheduling entry: the absolute time comes from the
+   scratch cell, so a caller that writes it there (an unboxed store)
+   hands no boxed [float] across the call. *)
+let at_pending t thunk =
+  if not (t.scratch.cell_time >= t.clock.cell_time) then
+    invalid_arg "Engine.at: time in the past or NaN";
   let slot = alloc_slot t (Obj.repr (thunk : unit -> unit)) in
-  push_key t (Int64.to_int (Int64.bits_of_float time) lxor min_int) ((slot lsl 1) lor 1)
+  push_cell t t.scratch ((slot lsl 1) lor 1)
+
+let at t time thunk =
+  t.scratch.cell_time <- time;
+  at_pending t thunk
 
 (* Cancellation is lazy: the event stays queued and checks its armed
    flag when it fires, so cancelling is O(1) and the queue never
@@ -280,15 +288,10 @@ let suspend t register =
   t.pending_register <- register;
   Effect.perform Suspend
 
-(* [at] relative to now, with the duration taken from the scratch cell:
-   the caller stores it there (an unboxed float write) so none crosses
-   the call boundary boxed. Built for self-re-arming poller thunks (see
-   [suspend]); the duration must be non-negative — pollers step time
-   forward by construction, so no past check on this path. *)
-let after_pending t thunk =
-  t.scratch.cell_time <- t.clock.cell_time +. t.scratch.cell_time;
-  let slot = alloc_slot t (Obj.repr (thunk : unit -> unit)) in
-  push_cell t t.scratch ((slot lsl 1) lor 1)
+(* The head key against the clock's key: the head is never earlier than
+   the clock, so equality means an event shares the current instant. *)
+let tie_pending t =
+  t.head_key = Int64.to_int (Int64.bits_of_float t.clock.cell_time) lxor min_int
 
 let yield () = delay 0.
 
@@ -309,6 +312,18 @@ let clear_parked t pid =
 let set_wait t pid ~why ~waits_on =
   t.whys.(pid) <- why;
   t.waits.(pid) <- waits_on
+
+(* Run one decoded event: the value carries (arena slot, tag); the slot
+   returns to the free stack before the payload runs, so the event's
+   own pushes can reuse it. *)
+let[@inline] exec_event t v =
+  let slot = v lsr 1 in
+  let payload = Array.unsafe_get t.slots slot in
+  Array.unsafe_set t.free t.free_top slot;
+  t.free_top <- t.free_top + 1;
+  if v land 1 = 0 then
+    Effect.Deep.continue (Obj.obj payload : (unit, unit) Effect.Deep.continuation) ()
+  else (Obj.obj payload : unit -> unit) ()
 
 (* Run one step of a process body under the engine's effect handler. The
    handler is installed once per process; continuations captured by Delay
@@ -344,6 +359,31 @@ let start t pid body =
           push_cell t t.scratch (slot lsl 1)
         end)
   in
+  (* One parked-or-suspended continuation per process at a time: it is
+     filed in the event arena at suspension and its slot kept here
+     ([-1] while the process runs), so the resumers below are built
+     once per process instead of one closure per suspension. *)
+  let held = ref (-1) in
+  let take_held () =
+    let slot = !held in
+    if slot < 0 then
+      invalid_arg (Printf.sprintf "Engine: process %s resumed twice" (name_of t pid));
+    held := -1;
+    slot
+  in
+  (* Park's resume. A call while the process is not parked raises; the
+     machine layer drops its copy at dispatch, so a stale resume never
+     meets a later park of the same process. *)
+  let park_resume () =
+    let slot = take_held () in
+    clear_parked t pid;
+    if Obs.tracing t.obs then
+      Obs.instant t.obs ~lane:pid ~name:"unpark" ~ts_ns:t.clock.cell_time ();
+    push_cell t t.clock (slot lsl 1)
+  in
+  (* Suspend's resume re-enters the process directly, as the event that
+     drained its slot would. *)
+  let suspend_resume () = exec_event t (take_held () lsl 1) in
   let on_park : ((unit, unit) continuation -> unit) option =
     Some
       (fun k ->
@@ -352,18 +392,8 @@ let start t pid body =
         set_parked t pid;
         if Obs.tracing t.obs then
           Obs.instant t.obs ~lane:pid ~name:"park" ~ts_ns:t.clock.cell_time ();
-        let resumed = ref false in
-        let resume () =
-          if !resumed then
-            invalid_arg (Printf.sprintf "Engine: process %s resumed twice" (name_of t pid));
-          resumed := true;
-          clear_parked t pid;
-          if Obs.tracing t.obs then
-            Obs.instant t.obs ~lane:pid ~name:"unpark" ~ts_ns:t.clock.cell_time ();
-          let slot = alloc_slot t (Obj.repr k) in
-          push_cell t t.clock (slot lsl 1)
-        in
-        register resume)
+        held := alloc_slot t (Obj.repr k);
+        register park_resume)
   in
   let on_suspend : ((unit, unit) continuation -> unit) option =
     Some
@@ -373,7 +403,8 @@ let start t pid body =
            stall/trace machinery never needs to know. *)
         let register = t.pending_register in
         t.pending_register <- no_register;
-        register (fun () -> Effect.Deep.continue k ()))
+        held := alloc_slot t (Obj.repr k);
+        register suspend_resume)
   in
   let effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option =
     fun eff ->
@@ -483,18 +514,6 @@ let stall_report t =
       end)
     !waiters;
   { waiters = !waiters; cycle = !cycle }
-
-(* Run one decoded event: the value carries (arena slot, tag); the slot
-   returns to the free stack before the payload runs, so the event's
-   own pushes can reuse it. *)
-let[@inline] exec_event t v =
-  let slot = v lsr 1 in
-  let payload = Array.unsafe_get t.slots slot in
-  Array.unsafe_set t.free t.free_top slot;
-  t.free_top <- t.free_top + 1;
-  if v land 1 = 0 then
-    Effect.Deep.continue (Obj.obj payload : (unit, unit) Effect.Deep.continuation) ()
-  else (Obj.obj payload : unit -> unit) ()
 
 let run t =
   let rec loop () =

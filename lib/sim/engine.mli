@@ -123,27 +123,42 @@ val set_wait : t -> pid -> why:string -> waits_on:pid -> unit
     deadlock cycle finder follows. *)
 
 val park : ((unit -> unit) -> unit) -> unit
-(** [park register] suspends the calling process and passes its one-shot
-    resume function to [register] (called before [park] returns control to
-    the engine). Calling the resume function schedules the process to
-    continue at the then-current simulated time; calling it twice raises
-    [Invalid_argument]. *)
+(** [park register] suspends the calling process and passes its resume
+    function to [register] (called before [park] returns control to the
+    engine). Calling the resume function schedules the process to
+    continue at the then-current simulated time; calling it while the
+    process is not parked (a second call for one park) raises
+    [Invalid_argument]. Each process has one resume function, built
+    when it starts and handed to every park, so parking allocates no
+    closure; a caller must therefore not keep a resume past its use,
+    or it would resume a later park of the same process. *)
 
 val suspend : t -> ((unit -> unit) -> unit) -> unit
 (** Low-overhead {!park} for engine-level pollers: no parked-process
     bookkeeping, no trace instants, and the resume function re-enters
     the process with a direct continue instead of re-queueing it — so
     it must be called {e exactly once}, from a queued-thunk context
-    (e.g. a callback scheduled with {!after_pending}), and the caller
+    (e.g. a callback scheduled with {!at_pending}), and the caller
     must keep at least one pending event alive until then (the stall
     detector does not know about suspended-but-unparked processes).
-    The machine layer's lock spinner is the intended client. *)
+    Like {!park}'s, the resume function is built once per process, so
+    a [register] closure built once as well makes a suspension
+    allocate nothing beyond the runtime's continuation. The machine
+    layer's lock spinner is the intended client. *)
 
-val after_pending : t -> (unit -> unit) -> unit
-(** {!at} relative to now, with the duration taken from the engine's
-    {!delay_cell} — the unboxed hand-off twin of {!at} for hot poller
-    re-arms: [(delay_cell e).cell_time <- ns; after_pending e thunk].
-    The duration must be non-negative (not checked on this path). *)
+val at_pending : t -> (unit -> unit) -> unit
+(** Exactly {!at}, with the absolute time taken from the engine's
+    {!delay_cell} instead of a [float] argument — the unboxed hand-off
+    twin for hot schedulers:
+    [(delay_cell e).cell_time <- time; at_pending e thunk]. {!at} itself
+    is this call after storing its argument in the cell.
+    @raise Invalid_argument if the time is before {!now} or NaN. *)
+
+val tie_pending : t -> bool
+(** [true] when another event is queued at exactly {!now}: it will run
+    in this same instant, after the current one. The machine layer's
+    lazy spinner uses it to order its expiry against events that share
+    the expiry's instant. *)
 
 val yield : unit -> unit
 (** Re-enter the event queue at the current time: lets other processes

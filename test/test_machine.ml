@@ -381,11 +381,230 @@ let test_create_ignores_retired_env () =
       M.run m;
       Alcotest.(check bool) "ran to completion" true (M.elapsed_ns th > 0.))
 
+(* --- spinner oracle ------------------------------------------------------ *)
+
+(* A random contention program: per thread, a list of (mutex, hold,
+   gap) critical sections. Two families, matching what the lazy spinner
+   promises (see the comment above [spin_step_account] in machine.ml):
+
+   - jittered: 2-5 threads on 2-4 CPUs with jittered work, each thread
+     starting after a jittered prelude of its own length, and quanta
+     short enough that spins straddle them and take the step loop;
+   - exact: 2 threads with exact cycle costs on a clock whose cycle is
+     a binary fraction of a ns and a quantum that never expires, so
+     releases land exactly on probe and expiry boundaries all the time.
+
+   Lock ops always exceed the 8-cycle probe step. *)
+type contention = {
+  c_cpus : int;
+  c_mhz : float;
+  c_quantum_us : float;
+  c_spin : int;
+  c_handoff : bool;
+  c_atomic : int;
+  c_jitter : bool;
+  c_mutexes : int;
+  c_threads : (int * int * int) list list;
+}
+
+let contention_gen =
+  QCheck.Gen.(
+    let* c_jitter = bool in
+    let* c_cpus = int_range 2 4 in
+    let* c_mhz = if c_jitter then oneofl [ 200.; 333.; 400.; 500. ] else oneofl [ 200.; 400.; 500. ] in
+    let* c_quantum_us =
+      if c_jitter then oneof [ float_range 1. 6.; float_range 6. 40. ] else return 1e6
+    in
+    let* c_spin = oneof [ int_range 1 40; int_range 40 700 ] in
+    let* c_handoff = bool in
+    let* c_atomic = int_range 9 30 in
+    let* c_mutexes = int_range 1 3 in
+    let section =
+      triple (int_bound (c_mutexes - 1))
+        (oneof [ int_range 1 60; int_range 60 900 ])
+        (oneof [ int_range 0 40; int_range 40 600 ])
+    in
+    let* nthreads = if c_jitter then int_range 2 5 else return 2 in
+    let* c_threads = list_repeat nthreads (list_size (int_range 1 25) section) in
+    return
+      { c_cpus; c_mhz; c_quantum_us; c_spin; c_handoff; c_atomic; c_jitter; c_mutexes; c_threads })
+
+let print_contention c =
+  Printf.sprintf
+    "cpus %d mhz %g quantum %gus spin %d handoff %b atomic %d jitter %b mutexes %d\n%s" c.c_cpus
+    c.c_mhz c.c_quantum_us c.c_spin c.c_handoff c.c_atomic c.c_jitter c.c_mutexes
+    (String.concat "\n"
+       (List.mapi
+          (fun i secs ->
+            Printf.sprintf "t%d: %s" i
+              (String.concat " "
+                 (List.map (fun (mu, h, g) -> Printf.sprintf "m%d/%d/%d" mu h g) secs)))
+          c.c_threads))
+
+(* Run [c] and fingerprint it: every lock acquisition in order (thread,
+   mutex, simulated time) and, per thread, finish time, CPU cycles,
+   spin wins, blocks and context switches. *)
+let run_contention ~reference c =
+  let cfg =
+    { M.default_config with
+      M.cpus = c.c_cpus;
+      mhz = c.c_mhz;
+      quantum_us = c.c_quantum_us;
+      spin_cycles = c.c_spin;
+      mutex_handoff = c.c_handoff;
+      atomic_cycles = c.c_atomic;
+      op_jitter = (if c.c_jitter then 0.02 else 0.);
+    }
+  in
+  let m = M.create ~seed:5 ~reference cfg in
+  let p = M.create_proc m () in
+  let mus = Array.init c.c_mutexes (fun i -> M.Mutex.create m ~name:(string_of_int i) ()) in
+  let log = Buffer.create 1024 in
+  let ths =
+    List.mapi
+      (fun i secs ->
+        M.spawn p ~name:(string_of_int i) (fun ctx ->
+            if c.c_jitter then M.work ctx (50 + (i * 173));
+            List.iter
+              (fun (mu, hold, gap) ->
+                M.Mutex.lock mus.(mu) ctx;
+                Printf.bprintf log "%d:%d@%h " i mu (M.now ctx);
+                M.work ctx hold;
+                M.Mutex.unlock mus.(mu) ctx;
+                M.work ctx gap)
+              secs))
+      c.c_threads
+  in
+  M.run m;
+  List.iter
+    (fun th ->
+      let st = M.thread_stats th in
+      Printf.bprintf log "\n%s finish %h cycles %h spins %d blocks %d switches %d"
+        (M.thread_name th) (M.elapsed_ns th) st.M.cpu_cycles st.M.spins st.M.blocks
+        st.M.ctx_switches)
+    ths;
+  Buffer.contents log
+
+let prop_spinner_oracle =
+  QCheck.Test.make ~name:"lazy spinners match the probe-chain reference" ~count:300
+    (QCheck.make ~print:print_contention contention_gen)
+    (fun c ->
+      let lazy_ = run_contention ~reference:false c in
+      let chain = run_contention ~reference:true c in
+      if lazy_ <> chain then
+        QCheck.Test.fail_reportf "schedules diverge:\n  lazy : %s\n  chain: %s" lazy_ chain;
+      true)
+
+(* The two ties at the end of a spin, deterministically: a holder
+   releases exactly on the spinner's expiry boundary, or inside the
+   last probe step, so that a release-driven wake and the expiry land
+   on one boundary and the wake outlives the registration it was
+   queued for. Exact costs put every event on a 5 ns grid; a dry run
+   finds the hold that releases exactly at the expiry boundary, and a
+   sweep around it must match the probe chain hold by hold. *)
+let test_spin_expiry_ties () =
+  let cfg =
+    { two_cpu with M.mhz = 200.; quantum_us = 1e6; spin_cycles = 400; atomic_cycles = 14 }
+  in
+  let cycle = 5. in
+  let run ~reference hold =
+    let m = M.create ~seed:3 ~reference cfg in
+    let p = M.create_proc m () in
+    let mu = M.Mutex.create m () in
+    let acquired = ref nan and released = ref nan and attempt = ref nan in
+    let a =
+      M.spawn p ~name:"holder" (fun ctx ->
+          M.Mutex.lock mu ctx;
+          acquired := M.now ctx;
+          M.work_exact ctx hold;
+          M.Mutex.unlock mu ctx;
+          released := M.now ctx)
+    in
+    let b =
+      M.spawn p ~name:"spinner" (fun ctx ->
+          M.work_exact ctx 100;
+          attempt := M.now ctx;
+          M.Mutex.lock mu ctx;
+          M.Mutex.unlock mu ctx)
+    in
+    M.run m;
+    let fp th =
+      let st = M.thread_stats th in
+      Printf.sprintf "%h %h %d %d %d" (M.elapsed_ns th) st.M.cpu_cycles st.M.spins st.M.blocks
+        st.M.ctx_switches
+    in
+    (* registration one lock op after the attempt, expiry 400 cycles on *)
+    let t_end = !attempt +. (float_of_int (14 + 400) *. cycle) in
+    (fp a ^ " | " ^ fp b, !acquired, !released, t_end, M.thread_stats b)
+  in
+  let _, acquired, _, t_end, _ = run ~reference:false 2000 in
+  (* release = acquire + hold + one lock op *)
+  let h0 = int_of_float ((t_end -. acquired) /. cycle) - 14 in
+  let on_expiry = ref false and in_last_step = ref false in
+  for hold = h0 - 10 to h0 + 2 do
+    let lazy_, _, released, t_end, st = run ~reference:false hold in
+    let chain, _, _, _, _ = run ~reference:true hold in
+    Alcotest.(check string) (Printf.sprintf "hold %d: lazy = chain" hold) chain lazy_;
+    if released = t_end then begin
+      on_expiry := true;
+      Alcotest.(check (pair int int)) "released on the expiry boundary: won by spinning" (1, 0)
+        (st.M.spins, st.M.blocks)
+    end;
+    if released < t_end && released > t_end -. (8. *. cycle) then in_last_step := true
+  done;
+  Alcotest.(check bool) "a release hit the expiry boundary" true !on_expiry;
+  Alcotest.(check bool) "a release fell inside the last probe step" true !in_last_step
+
+(* --- allocation budget ---------------------------------------------------- *)
+
+(* Host words allocated per contended acquisition: two threads take
+   turns on one mutex 10k times each with a 400-cycle hold and a
+   200-cycle gap, and
+   everything the run allocates (machine set-up included) is divided
+   by the contended acquisitions. On the quad Xeon the waiter spins
+   (the lazy spinner's branch); on the dual UltraSPARC it blocks at
+   once and is handed the lock. *)
+let words_per_contended_acquisition config =
+  let m = M.create ~seed:7 config in
+  let p = M.create_proc m () in
+  let mu = M.Mutex.create m () in
+  let body ctx =
+    for _ = 1 to 10_000 do
+      M.Mutex.lock mu ctx;
+      M.work_exact ctx 400;
+      M.Mutex.unlock mu ctx;
+      M.work_exact ctx 200
+    done
+  in
+  let w0 = Gc.minor_words () in
+  let a = M.spawn p body and b = M.spawn p body in
+  M.run m;
+  let words = Gc.minor_words () -. w0 in
+  let contended = M.Mutex.contentions mu in
+  let sa = M.thread_stats a and sb = M.thread_stats b in
+  (words /. float_of_int contended, contended, sa.M.spins + sb.M.spins, sa.M.blocks + sb.M.blocks)
+
+let test_alloc_budget_spin () =
+  let w, contended, spins, _ = words_per_contended_acquisition Core.Configs.quad_xeon in
+  Alcotest.(check bool) "mostly contended" true (contended > 10_000);
+  Alcotest.(check bool) "won by spinning" true (spins * 10 > contended * 9);
+  if w > 32. then Alcotest.failf "%.1f words per contended acquisition (budget 32)" w
+
+let test_alloc_budget_block () =
+  let w, contended, _, blocks = words_per_contended_acquisition Core.Configs.dual_ultrasparc in
+  Alcotest.(check bool) "mostly contended" true (contended > 10_000);
+  Alcotest.(check int) "every contended acquisition blocked" contended blocks;
+  if w > 24. then Alcotest.failf "%.1f words per contended acquisition (budget 24)" w
+
 let suite =
   [ Alcotest.test_case "single thread work time" `Quick test_single_thread_work_time;
     QCheck_alcotest.to_alcotest prop_conservation;
     QCheck_alcotest.to_alcotest prop_exclusion_both_policies;
     QCheck_alcotest.to_alcotest prop_deterministic_replay;
+    QCheck_alcotest.to_alcotest prop_spinner_oracle;
+    Alcotest.test_case "spin expiry ties match the probe chain" `Quick test_spin_expiry_ties;
+    Alcotest.test_case "allocation budget: spinning waiter" `Quick test_alloc_budget_spin;
+    Alcotest.test_case "allocation budget: blocking waiter" `Quick test_alloc_budget_block;
     Alcotest.test_case "parallel speedup" `Quick test_parallel_speedup;
     Alcotest.test_case "round-robin fairness" `Quick test_round_robin_fairness;
     Alcotest.test_case "work conservation" `Quick test_work_conservation;
