@@ -284,6 +284,40 @@ let test_exit_hook_runs () =
   M.run m;
   Alcotest.(check (list string)) "registration order" [ "first"; "second" ] (List.rev !ran)
 
+(* Waiters leave a wait queue in arrival order, and a released waiter
+   can queue again at once: [wake_all] unlinks each waiter before the
+   ready queue reuses its link. *)
+let test_waitq_fifo_and_requeue () =
+  let m = M.create ~seed:2 { two_cpu with M.cpus = 4 } in
+  let p = M.create_proc m () in
+  let q = M.Waitq.create m ~name:"q" () in
+  let woke = ref [] in
+  let waiter i =
+    M.spawn p ~name:(Printf.sprintf "w%d" i) (fun ctx ->
+        M.work_exact ctx (1_000 * (i + 1));
+        for round = 1 to 2 do
+          M.Waitq.wait q ctx;
+          woke := (round, i) :: !woke
+        done)
+  in
+  let ws = List.init 3 waiter in
+  let counts = ref [] in
+  ignore
+    (M.spawn p ~name:"waker" (fun ctx ->
+         M.work_exact ctx 20_000;
+         counts := M.Waitq.waiting q :: !counts;
+         ignore (M.Waitq.wake_one q ctx : bool);
+         counts := M.Waitq.wake_all q ctx :: !counts;
+         M.work_exact ctx 20_000;
+         counts := M.Waitq.wake_all q ctx :: !counts;
+         counts := M.Waitq.waiting q :: !counts));
+  M.run m;
+  ignore ws;
+  Alcotest.(check (list int)) "waiting, woken, woken, left" [ 3; 2; 3; 0 ] (List.rev !counts);
+  Alcotest.(check (list (pair int int))) "arrival order, then again"
+    [ (1, 0); (1, 1); (1, 2); (2, 0); (2, 1); (2, 2) ]
+    (List.rev !woke)
+
 (* Scheduler conservation laws under random workloads. *)
 let prop_conservation =
   QCheck.Test.make ~name:"elapsed >= own work; busy >= total work; makespan >= work/cpus" ~count:40
@@ -616,6 +650,7 @@ let suite =
     Alcotest.test_case "join" `Quick test_join;
     Alcotest.test_case "join finished thread" `Quick test_join_finished_thread;
     Alcotest.test_case "latch" `Quick test_latch;
+    Alcotest.test_case "wait queue order and requeue" `Quick test_waitq_fifo_and_requeue;
     Alcotest.test_case "multithreaded flag" `Quick test_multithreaded_flag;
     Alcotest.test_case "stub vs atomic lock cost" `Quick test_stub_vs_atomic_lock_cost;
     Alcotest.test_case "spawn faults stack page" `Quick test_spawn_faults_stack_page;
